@@ -187,8 +187,7 @@ OomConfig SamplerOptions::oom_config() const {
   config.block_balancing = oom_block_balancing;
   config.unbatched_gang_size = oom_unbatched_gang_size;
   config.demand_cache = oom_demand_cache;
-  config.transfer_retry_limit = transfer_retry_limit;
-  config.transfer_backoff = transfer_backoff;
+  config.transfer_retry = RetryPolicy{transfer_retry_limit, transfer_backoff};
   config.fault_injector = transfer_faults;
   config.engine = engine_config();
   return config;

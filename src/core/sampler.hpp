@@ -42,7 +42,7 @@ struct SamplerOptions {
   /// hands offsets to a backend directly.
   std::uint32_t instance_id_offset = 0;
 
-  // --- Device topology (previously MultiDeviceConfig).
+  // --- Device topology.
   /// Devices to spread instances over. kAuto resolves to kMultiDevice
   /// when this exceeds 1.
   std::uint32_t num_devices = 1;
@@ -95,7 +95,7 @@ struct SamplerOptions {
   double transfer_backoff = 1e-4;
   /// Optional deterministic fault injector consulted per copy attempt.
   /// nullptr (the default) means fault-free paged I/O.
-  std::shared_ptr<TransferFaultInjector> transfer_faults;
+  std::shared_ptr<FaultInjector> transfer_faults;
 
   // --- Auto-selection inputs.
   MemoryAssumption memory_assumption = MemoryAssumption::kMeasure;

@@ -22,15 +22,27 @@ void write_vector(std::ofstream& os, std::span<const T> data) {
            static_cast<std::streamsize>(count * sizeof(T)));
 }
 
+/// Reads one count-prefixed array. The declared count is checked against
+/// the `remaining` bytes of the file before anything is allocated, and the
+/// payload must be read in full: a truncated or corrupt header raises
+/// CheckError instead of a short read or an oversized allocation.
 template <typename T>
-std::vector<T> read_vector(std::ifstream& is) {
+std::vector<T> read_vector(std::ifstream& is, std::uint64_t& remaining) {
   std::uint64_t count = 0;
+  CSAW_CHECK_MSG(remaining >= sizeof(count), "truncated CSR file");
   is.read(reinterpret_cast<char*>(&count), sizeof(count));
   CSAW_CHECK_MSG(is.good(), "truncated CSR file");
+  remaining -= sizeof(count);
+  CSAW_CHECK_MSG(count <= remaining / sizeof(T),
+                 "CSR array declares " << count << " elements but only "
+                                       << remaining << " bytes remain");
+  const std::uint64_t bytes = count * sizeof(T);
   std::vector<T> data(count);
   is.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  CSAW_CHECK_MSG(is.good() || is.eof(), "truncated CSR file");
+          static_cast<std::streamsize>(bytes));
+  CSAW_CHECK_MSG(static_cast<std::uint64_t>(is.gcount()) == bytes,
+                 "truncated CSR file");
+  remaining -= bytes;
   return data;
 }
 
@@ -84,15 +96,20 @@ void save_binary(const CsrGraph& graph, const std::string& path) {
 }
 
 CsrGraph load_binary(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   CSAW_CHECK_MSG(is.is_open(), "cannot open " << path);
+  const std::streamoff size = is.tellg();
+  CSAW_CHECK_MSG(size >= 0, "cannot size " << path);
+  std::uint64_t remaining = static_cast<std::uint64_t>(size);
+  is.seekg(0);
   std::array<char, 8> magic{};
   is.read(magic.data(), magic.size());
   CSAW_CHECK_MSG(is.good() && magic == kMagic,
                  path << " is not a csaw binary CSR file");
-  auto row_ptr = read_vector<EdgeIndex>(is);
-  auto col_idx = read_vector<VertexId>(is);
-  auto weights = read_vector<float>(is);
+  remaining -= magic.size();
+  auto row_ptr = read_vector<EdgeIndex>(is, remaining);
+  auto col_idx = read_vector<VertexId>(is, remaining);
+  auto weights = read_vector<float>(is, remaining);
   return CsrGraph(std::move(row_ptr), std::move(col_idx), std::move(weights));
 }
 

@@ -41,16 +41,13 @@ struct OomConfig {
   /// the legacy path; transfers, timing and seps() improve. Requires
   /// EngineConfig::schedule == kPipelined (checked at run()).
   bool demand_cache = false;
-  /// Total attempts per partition copy on the cached path: 1 + retries
-  /// (1 = no retry). A load that fails every attempt throws
-  /// TransferError, failing the batch; the cache settles back consistent.
-  std::uint32_t transfer_retry_limit = 3;
-  /// Base backoff before the first retry (simulated seconds); doubles per
-  /// further retry.
-  double transfer_backoff = 1e-4;
+  /// Retry bound and backoff of partition copies on the cached path. A
+  /// load that fails every attempt throws TransferError, failing the
+  /// batch; the cache settles back consistent.
+  RetryPolicy transfer_retry;
   /// Optional fault injector consulted per copy attempt (cached path
   /// only). nullptr = fault-free I/O, the default.
-  std::shared_ptr<TransferFaultInjector> fault_injector;
+  std::shared_ptr<FaultInjector> fault_injector;
   EngineConfig engine;
 };
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -84,8 +86,20 @@ struct SampleRequest {
                                     std::uint32_t neighbor_size = 2);
 };
 
+/// A fixed-size array indexed by an enum: one slot per enum value, so a
+/// counter set, its labels and its rates all come from the enum.
+template <typename Enum, std::size_t N, typename T = std::uint64_t>
+struct EnumArray : std::array<T, N> {
+  using std::array<T, N>::operator[];
+  T& operator[](Enum e) { return (*this)[static_cast<std::size_t>(e)]; }
+  const T& operator[](Enum e) const {
+    return (*this)[static_cast<std::size_t>(e)];
+  }
+};
+
 /// Why the service refused a request at admission. Every reason has a
-/// counter in ServiceStats; kNone means accepted.
+/// slot in ServiceStats::rejected; kNone means accepted. kDeadlineExpired
+/// stays last (kRejectReasonCount is derived from it).
 enum class RejectReason {
   kNone,
   /// SampleRequest::graph names no registered graph.
@@ -105,16 +119,20 @@ enum class RejectReason {
   /// SampleRequest::deadline had already expired at submission.
   kDeadlineExpired,
 };
+inline constexpr std::size_t kRejectReasonCount =
+    static_cast<std::size_t>(RejectReason::kDeadlineExpired) + 1;
 
-/// Human-readable reason ("queue_full", ...); "accepted" for kNone.
+/// Human-readable reason ("queue_full", ...); "accepted" for kNone. Also
+/// the `reason` label of csaw_requests_rejected_total.
 std::string to_string(RejectReason reason);
 
 /// How an *admitted* request ended (admission rejections are
 /// RejectReason instead). Everything but kOk reaches the client as a
-/// RequestError through the request's future, and each failure kind has
-/// its own counter in TenantStats / ServiceStats, so operators can tell
-/// client cancellations from deadline misses from I/O faults at a
-/// glance.
+/// RequestError through the request's future, and each outcome has its
+/// own slot in TenantStats / ServiceStats / ServiceHealth, so operators
+/// can tell client cancellations from deadline misses from I/O faults at
+/// a glance. kInternal stays last (kRequestOutcomeCount is derived from
+/// it).
 enum class RequestOutcome {
   kOk,                ///< future holds the RunResult
   kCancelled,         ///< client fired SampleRequest::cancel
@@ -123,9 +141,16 @@ enum class RequestOutcome {
   kShardFailed,       ///< a terminally failed shard held the request's walkers
   kInternal,          ///< any other batch failure
 };
+inline constexpr std::size_t kRequestOutcomeCount =
+    static_cast<std::size_t>(RequestOutcome::kInternal) + 1;
 
-/// Human-readable outcome ("ok", "cancelled", ...).
+/// Human-readable outcome ("ok", "cancelled", ...). Also the `outcome`
+/// label of csaw_request_outcomes_total and csaw_recent_outcome_rate.
 std::string to_string(RequestOutcome outcome);
+
+/// One count per RequestOutcome / RejectReason.
+using OutcomeCounts = EnumArray<RequestOutcome, kRequestOutcomeCount>;
+using RejectCounts = EnumArray<RejectReason, kRejectReasonCount>;
 
 /// The typed exception an admitted request's future fails with. The
 /// outcome says *why*; what() carries the detail (for kTransferFailed,
@@ -147,14 +172,12 @@ class RequestError : public std::runtime_error {
 struct TenantStats {
   std::string tenant;
   std::uint64_t accepted = 0;
+  /// outcomes[kOk] and the sum of the other slots, filled in by
+  /// Service::stats().
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
-  // --- Failure breakdown by RequestOutcome; sums to `failed`.
-  std::uint64_t cancelled = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t transfer_failed = 0;
-  std::uint64_t shard_failed = 0;
-  std::uint64_t internal_errors = 0;
+  /// Retired requests by outcome.
+  OutcomeCounts outcomes{};
   /// Edges this tenant's own requests sampled (per-request slices, not
   /// whole-batch totals — coalesced neighbors are not charged here).
   std::uint64_t sampled_edges = 0;
@@ -168,24 +191,15 @@ struct TenantStats {
 struct ServiceStats {
   std::uint64_t submitted = 0;  ///< all submit() calls, accepted or not
   std::uint64_t accepted = 0;
-  std::uint64_t completed = 0;  ///< requests whose future holds a RunResult
-  std::uint64_t failed = 0;     ///< requests whose future holds an exception
-
-  // --- Failure breakdown by RequestOutcome; sums to `failed`.
-  std::uint64_t cancelled = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t transfer_failed = 0;
-  std::uint64_t shard_failed = 0;
-  std::uint64_t internal_errors = 0;
-
-  // --- Admission rejections by reason.
-  std::uint64_t rejected_unknown_graph = 0;
-  std::uint64_t rejected_empty = 0;
-  std::uint64_t rejected_invalid_seed = 0;
-  std::uint64_t rejected_oversized = 0;
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t rejected_deadline_expired = 0;
+  /// Requests whose future holds a RunResult (outcomes[kOk]) and those
+  /// whose future holds an exception (the other slots), filled in by
+  /// Service::stats().
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  /// Retired requests by outcome.
+  OutcomeCounts outcomes{};
+  /// Admission rejections by reason (the kNone slot stays 0).
+  RejectCounts rejected{};
 
   // --- Batching effectiveness.
   std::uint64_t batches = 0;  ///< engine runs the dispatcher executed
@@ -253,9 +267,9 @@ struct ServiceStats {
   double sim_seconds = 0.0;
 
   std::uint64_t rejected_total() const noexcept {
-    return rejected_unknown_graph + rejected_empty + rejected_invalid_seed +
-           rejected_oversized + rejected_queue_full + rejected_shutdown +
-           rejected_deadline_expired;
+    std::uint64_t total = 0;
+    for (const std::uint64_t count : rejected) total += count;
+    return total;
   }
 };
 

@@ -40,6 +40,31 @@ bool overlaps(const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
   return false;
 }
 
+/// Fills in the completed/failed totals ServiceStats and TenantStats
+/// derive from their outcome slots.
+template <typename Stats>
+void derive_totals(Stats& stats) {
+  stats.completed = stats.outcomes[RequestOutcome::kOk];
+  stats.failed = 0;
+  for (const std::uint64_t count : stats.outcomes) stats.failed += count;
+  stats.failed -= stats.completed;
+}
+
+/// The outcome a fired token forces on its request — a client cancel or
+/// an expired deadline — or `otherwise` while the token has not fired.
+RequestOutcome token_outcome(const CancelToken& token,
+                             RequestOutcome otherwise) {
+  switch (token.reason()) {
+    case CancelReason::kNone:
+      break;
+    case CancelReason::kRequested:
+      return RequestOutcome::kCancelled;
+    case CancelReason::kDeadline:
+      return RequestOutcome::kDeadlineExceeded;
+  }
+  return otherwise;
+}
+
 }  // namespace
 
 Service::Service(ServiceConfig config) : config_(std::move(config)) {
@@ -160,75 +185,17 @@ std::vector<GraphResidency> Service::graphs() const {
 }
 
 void Service::count_rejection_locked(RejectReason reason) {
-  switch (reason) {
-    case RejectReason::kNone:
-      break;
-    case RejectReason::kUnknownGraph:
-      ++stats_.rejected_unknown_graph;
-      break;
-    case RejectReason::kEmptyRequest:
-      ++stats_.rejected_empty;
-      break;
-    case RejectReason::kInvalidSeed:
-      ++stats_.rejected_invalid_seed;
-      break;
-    case RejectReason::kOversizedRequest:
-      ++stats_.rejected_oversized;
-      break;
-    case RejectReason::kQueueFull:
-      ++stats_.rejected_queue_full;
-      break;
-    case RejectReason::kShutdown:
-      ++stats_.rejected_shutdown;
-      break;
-    case RejectReason::kDeadlineExpired:
-      ++stats_.rejected_deadline_expired;
-      break;
-  }
-  if (config_.trace != nullptr && reason != RejectReason::kNone) {
+  if (reason == RejectReason::kNone) return;
+  ++stats_.rejected[reason];
+  if (config_.trace != nullptr) {
     config_.trace->instant("reject", {{"reason", to_string(reason)}});
   }
 }
 
 void Service::book_outcome_locked(const std::string& tenant_name,
                                   RequestOutcome outcome) {
-  TenantState& tenant = tenants_.at(tenant_name);
-  switch (outcome) {
-    case RequestOutcome::kOk:
-      ++stats_.completed;
-      ++tenant.completed;
-      break;
-    case RequestOutcome::kCancelled:
-      ++stats_.failed;
-      ++stats_.cancelled;
-      ++tenant.failed;
-      ++tenant.cancelled;
-      break;
-    case RequestOutcome::kDeadlineExceeded:
-      ++stats_.failed;
-      ++stats_.deadline_exceeded;
-      ++tenant.failed;
-      ++tenant.deadline_exceeded;
-      break;
-    case RequestOutcome::kTransferFailed:
-      ++stats_.failed;
-      ++stats_.transfer_failed;
-      ++tenant.failed;
-      ++tenant.transfer_failed;
-      break;
-    case RequestOutcome::kShardFailed:
-      ++stats_.failed;
-      ++stats_.shard_failed;
-      ++tenant.failed;
-      ++tenant.shard_failed;
-      break;
-    case RequestOutcome::kInternal:
-      ++stats_.failed;
-      ++stats_.internal_errors;
-      ++tenant.failed;
-      ++tenant.internal_errors;
-      break;
-  }
+  ++stats_.outcomes[outcome];
+  ++tenants_.at(tenant_name).stats.outcomes[outcome];
   recent_.push_back(outcome);
   while (recent_.size() > config_.health_window) recent_.pop_front();
 }
@@ -253,9 +220,7 @@ void Service::sweep_queue_locked() {
     // first-fired reason distinguishes a client cancel from an expired
     // deadline.
     const RequestOutcome outcome =
-        it->run_token.reason() == CancelReason::kDeadline
-            ? RequestOutcome::kDeadlineExceeded
-            : RequestOutcome::kCancelled;
+        token_outcome(it->run_token, RequestOutcome::kCancelled);
     retire_timers_locked(it->ticket);
     book_outcome_locked(it->request.tenant, outcome);
     if (config_.trace != nullptr) {
@@ -416,7 +381,7 @@ Submission Service::submit_impl(SampleRequest request,
 
     // First accepted request of a tenant adds it to the fairness ring;
     // it stays for the service's lifetime (tenant counts are small).
-    TenantState& tenant = tenants_[request.tenant];
+    TenantStats& tenant = tenants_[request.tenant].stats;
     if (tenant.accepted == 0) tenant_ring_.push_back(request.tenant);
     ++tenant.accepted;
 
@@ -540,21 +505,12 @@ void Service::shutdown() {
 ServiceStats Service::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats snapshot = stats_;
+  derive_totals(snapshot);
   snapshot.tenants.reserve(tenants_.size());
   for (const auto& [name, tenant] : tenants_) {
-    TenantStats out;
+    TenantStats& out = snapshot.tenants.emplace_back(tenant.stats);
     out.tenant = name;
-    out.accepted = tenant.accepted;
-    out.completed = tenant.completed;
-    out.failed = tenant.failed;
-    out.cancelled = tenant.cancelled;
-    out.deadline_exceeded = tenant.deadline_exceeded;
-    out.transfer_failed = tenant.transfer_failed;
-    out.shard_failed = tenant.shard_failed;
-    out.internal_errors = tenant.internal_errors;
-    out.sampled_edges = tenant.sampled_edges;
-    out.peak_inflight_instances = tenant.peak_inflight_instances;
-    snapshot.tenants.push_back(std::move(out));
+    derive_totals(out);
   }
   return snapshot;
 }
@@ -569,42 +525,14 @@ ServiceHealth Service::health() const {
   health.executing_batches = executing_batches_;
   health.timed_requests = wheel_.size();
   health.window = recent_.size();
-  for (const RequestOutcome outcome : recent_) {
-    switch (outcome) {
-      case RequestOutcome::kOk:
-        ++health.recent_ok;
-        break;
-      case RequestOutcome::kCancelled:
-        ++health.recent_cancelled;
-        break;
-      case RequestOutcome::kDeadlineExceeded:
-        ++health.recent_deadline_exceeded;
-        break;
-      case RequestOutcome::kTransferFailed:
-        ++health.recent_transfer_failed;
-        break;
-      case RequestOutcome::kShardFailed:
-        ++health.recent_shard_failed;
-        break;
-      case RequestOutcome::kInternal:
-        ++health.recent_internal;
-        break;
-    }
-  }
-  health.recent_failures = health.window - health.recent_ok;
+  for (const RequestOutcome outcome : recent_) ++health.recent[outcome];
+  health.recent_failures =
+      health.window - health.recent[RequestOutcome::kOk];
   if (health.window > 0) {
     const double window = static_cast<double>(health.window);
-    health.ok_rate = static_cast<double>(health.recent_ok) / window;
-    health.cancelled_rate =
-        static_cast<double>(health.recent_cancelled) / window;
-    health.deadline_rate =
-        static_cast<double>(health.recent_deadline_exceeded) / window;
-    health.transfer_failed_rate =
-        static_cast<double>(health.recent_transfer_failed) / window;
-    health.shard_failed_rate =
-        static_cast<double>(health.recent_shard_failed) / window;
-    health.internal_rate =
-        static_cast<double>(health.recent_internal) / window;
+    for (std::size_t o = 0; o < kRequestOutcomeCount; ++o) {
+      health.rates[o] = static_cast<double>(health.recent[o]) / window;
+    }
   }
   return health;
 }
@@ -678,33 +606,22 @@ std::string Service::metrics_text() const {
   counter("csaw_requests_accepted_total", "Requests admitted to the queue",
           stats.accepted);
   const std::string outcome_help = "Retired requests by typed outcome";
-  counter("csaw_request_outcomes_total", outcome_help, stats.completed,
-          "outcome=\"ok\"");
-  counter("csaw_request_outcomes_total", outcome_help, stats.cancelled,
-          "outcome=\"cancelled\"");
-  counter("csaw_request_outcomes_total", outcome_help,
-          stats.deadline_exceeded, "outcome=\"deadline_exceeded\"");
-  counter("csaw_request_outcomes_total", outcome_help, stats.transfer_failed,
-          "outcome=\"transfer_failed\"");
-  counter("csaw_request_outcomes_total", outcome_help, stats.shard_failed,
-          "outcome=\"shard_failed\"");
-  counter("csaw_request_outcomes_total", outcome_help, stats.internal_errors,
-          "outcome=\"internal\"");
+  const std::string rate_help =
+      "Outcome fraction over the recent-outcome window";
+  for (std::size_t o = 0; o < kRequestOutcomeCount; ++o) {
+    const std::string labels =
+        "outcome=\"" + to_string(static_cast<RequestOutcome>(o)) + "\"";
+    counter("csaw_request_outcomes_total", outcome_help, stats.outcomes[o],
+            labels);
+    gauge("csaw_recent_outcome_rate", rate_help, health.rates[o], labels);
+  }
   const std::string reject_help = "Rejected submissions by typed reason";
-  counter("csaw_requests_rejected_total", reject_help,
-          stats.rejected_unknown_graph, "reason=\"unknown_graph\"");
-  counter("csaw_requests_rejected_total", reject_help, stats.rejected_empty,
-          "reason=\"empty_request\"");
-  counter("csaw_requests_rejected_total", reject_help,
-          stats.rejected_invalid_seed, "reason=\"invalid_seed\"");
-  counter("csaw_requests_rejected_total", reject_help,
-          stats.rejected_oversized, "reason=\"oversized_request\"");
-  counter("csaw_requests_rejected_total", reject_help,
-          stats.rejected_queue_full, "reason=\"queue_full\"");
-  counter("csaw_requests_rejected_total", reject_help,
-          stats.rejected_shutdown, "reason=\"shutdown\"");
-  counter("csaw_requests_rejected_total", reject_help,
-          stats.rejected_deadline_expired, "reason=\"deadline_expired\"");
+  for (std::size_t r = 0; r < kRejectReasonCount; ++r) {
+    const auto reason = static_cast<RejectReason>(r);
+    if (reason == RejectReason::kNone) continue;
+    counter("csaw_requests_rejected_total", reject_help, stats.rejected[r],
+            "reason=\"" + to_string(reason) + "\"");
+  }
 
   counter("csaw_batches_total", "Engine runs executed", stats.batches);
   counter("csaw_batches_paged_total", "Batches served by the OOM backend",
@@ -775,21 +692,6 @@ std::string Service::metrics_text() const {
         static_cast<double>(health.timed_requests));
   gauge("csaw_health_window", "Retired requests the outcome window covers",
         static_cast<double>(health.window));
-  const std::string rate_help =
-      "Outcome fraction over the recent-outcome window";
-  gauge("csaw_recent_outcome_rate", rate_help, health.ok_rate,
-        "outcome=\"ok\"");
-  gauge("csaw_recent_outcome_rate", rate_help, health.cancelled_rate,
-        "outcome=\"cancelled\"");
-  gauge("csaw_recent_outcome_rate", rate_help, health.deadline_rate,
-        "outcome=\"deadline_exceeded\"");
-  gauge("csaw_recent_outcome_rate", rate_help, health.transfer_failed_rate,
-        "outcome=\"transfer_failed\"");
-  gauge("csaw_recent_outcome_rate", rate_help, health.shard_failed_rate,
-        "outcome=\"shard_failed\"");
-  gauge("csaw_recent_outcome_rate", rate_help, health.internal_rate,
-        "outcome=\"internal\"");
-
   gauge("csaw_peak_queue_depth", "High-water mark of the admission queue",
         static_cast<double>(stats.peak_queue_depth));
   gauge("csaw_peak_inflight_batches",
@@ -1043,8 +945,8 @@ Service::FormedBatch Service::form_batch_locked(std::size_t head_index) {
   for (const auto& [tenant_name, instances] : batch.tenant_instances) {
     TenantState& tenant = tenants_.at(tenant_name);
     tenant.inflight_instances += instances;
-    tenant.peak_inflight_instances = std::max<std::uint64_t>(
-        tenant.peak_inflight_instances, tenant.inflight_instances);
+    tenant.stats.peak_inflight_instances = std::max<std::uint64_t>(
+        tenant.stats.peak_inflight_instances, tenant.inflight_instances);
   }
   ++batches_in_flight_;
   stats_.peak_inflight_batches = std::max<std::uint64_t>(
@@ -1197,8 +1099,8 @@ void Service::run_batch(std::vector<Pending> batch) {
       shard_options.num_threads = config_.options.num_threads;
       shard_options.envelope_capacity = config_.shard_envelope_capacity;
       shard_options.queue_capacity = config_.shard_queue_capacity;
-      shard_options.retry_limit = config_.shard_retry_limit;
-      shard_options.retry_backoff = config_.shard_retry_backoff;
+      shard_options.retry =
+          RetryPolicy{config_.shard_retry_limit, config_.shard_retry_backoff};
       shard_options.select = config_.options.select;
       shard_options.seed = config_.options.seed;
       shard_options.device_params = config_.options.device_params;
@@ -1272,18 +1174,9 @@ void Service::run_batch(std::vector<Pending> batch) {
     // Classify every request: a token that fired (client cancel or
     // deadline) fails its request even though the batch completed —
     // partial rows of a cancelled request are discarded, not returned.
-    std::vector<RequestOutcome> outcomes(num_requests, RequestOutcome::kOk);
+    std::vector<RequestOutcome> outcomes(num_requests);
     for (std::size_t r = 0; r < num_requests; ++r) {
-      switch (batch[r].run_token.reason()) {
-        case CancelReason::kNone:
-          break;
-        case CancelReason::kRequested:
-          outcomes[r] = RequestOutcome::kCancelled;
-          break;
-        case CancelReason::kDeadline:
-          outcomes[r] = RequestOutcome::kDeadlineExceeded;
-          break;
-      }
+      outcomes[r] = token_outcome(batch[r].run_token, RequestOutcome::kOk);
     }
     if (whole.shard.has_value() && !whole.shard->failed.empty()) {
       // A terminally failed shard fails exactly the requests whose
@@ -1393,7 +1286,7 @@ void Service::run_batch(std::vector<Pending> batch) {
                   ? detail::stream_edges(*batch[r].stream)
                   : results[r].sampled_edges();
           stats_.sampled_edges += edges;
-          tenants_.at(batch[r].request.tenant).sampled_edges += edges;
+          tenants_.at(batch[r].request.tenant).stats.sampled_edges += edges;
         }
         retire_timers_locked(batch[r].ticket);
       }
@@ -1424,20 +1317,20 @@ void Service::run_batch(std::vector<Pending> batch) {
       try {
         batch[r].promise.set_value(std::move(results[r]));
       } catch (...) {
-        // A set_value failure concerns this request alone: re-book it
-        // from completed to failed and hand its client the error, so
-        // the batch is never counted twice and no request lands in both
-        // columns.
+        // A set_value failure concerns this request alone: move its
+        // count from the kOk slot to kInternal and hand its client the
+        // error, so the batch is never counted twice and no request
+        // lands in both columns.
         const std::exception_ptr error = std::current_exception();
         {
           std::lock_guard<std::mutex> lock(mu_);
-          --stats_.completed;
-          ++stats_.failed;
-          ++stats_.internal_errors;
-          TenantState& tenant = tenants_.at(batch[r].request.tenant);
-          --tenant.completed;
-          ++tenant.failed;
-          ++tenant.internal_errors;
+          OutcomeCounts& service = stats_.outcomes;
+          OutcomeCounts& tenant =
+              tenants_.at(batch[r].request.tenant).stats.outcomes;
+          --service[RequestOutcome::kOk];
+          ++service[RequestOutcome::kInternal];
+          --tenant[RequestOutcome::kOk];
+          ++tenant[RequestOutcome::kInternal];
         }
         try {
           batch[r].promise.set_exception(error);
@@ -1474,18 +1367,9 @@ void Service::run_batch(std::vector<Pending> batch) {
     }
     // Requests whose own token fired before the batch died keep their
     // truer cancellation outcome; the rest carry the batch's.
-    std::vector<RequestOutcome> outcomes(num_requests, batch_outcome);
+    std::vector<RequestOutcome> outcomes(num_requests);
     for (std::size_t r = 0; r < num_requests; ++r) {
-      switch (batch[r].run_token.reason()) {
-        case CancelReason::kNone:
-          break;
-        case CancelReason::kRequested:
-          outcomes[r] = RequestOutcome::kCancelled;
-          break;
-        case CancelReason::kDeadline:
-          outcomes[r] = RequestOutcome::kDeadlineExceeded;
-          break;
-      }
+      outcomes[r] = token_outcome(batch[r].run_token, batch_outcome);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -17,12 +17,12 @@
 
 #include "core/sampler.hpp"
 #include "service/request.hpp"
-#include "shard/fault_injector.hpp"
 #include "shard/partition_map.hpp"
 #include "service/stream.hpp"
 #include "service/timer_wheel.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 
@@ -120,7 +120,7 @@ struct ServiceConfig {
   double shard_retry_backoff = 1e-4;
   /// Optional deterministic envelope fault injector shared by every
   /// sharded batch (tests script drops/delays/terminal shard death).
-  std::shared_ptr<ShardFaultInjector> shard_faults;
+  std::shared_ptr<FaultInjector> shard_faults;
   /// Health reporting: how many recently retired requests the
   /// recent-outcome window of Service::health() covers.
   std::uint32_t health_window = 256;
@@ -156,23 +156,11 @@ struct ServiceHealth {
   /// move.
   std::uint64_t window = 0;
   std::uint64_t recent_failures = 0;
-  // --- Outcome breakdown of the same window; counts sum to `window`.
-  std::uint64_t recent_ok = 0;
-  std::uint64_t recent_cancelled = 0;
-  std::uint64_t recent_deadline_exceeded = 0;
-  std::uint64_t recent_transfer_failed = 0;
-  std::uint64_t recent_shard_failed = 0;
-  std::uint64_t recent_internal = 0;
-  /// Derived fractions over the window (all 0 while the window is
-  /// empty). ok_rate + cancelled_rate + deadline_rate +
-  /// transfer_failed_rate + shard_failed_rate + internal_rate == 1
-  /// otherwise.
-  double ok_rate = 0.0;
-  double cancelled_rate = 0.0;
-  double deadline_rate = 0.0;
-  double transfer_failed_rate = 0.0;
-  double shard_failed_rate = 0.0;
-  double internal_rate = 0.0;
+  /// Outcome breakdown of the same window; sums to `window`.
+  OutcomeCounts recent{};
+  /// recent[o] / window per outcome: all 0 while the window is empty,
+  /// summing to 1 otherwise.
+  EnumArray<RequestOutcome, kRequestOutcomeCount, double> rates{};
 };
 
 /// Result of Service::submit: a typed admission verdict plus, when
@@ -384,16 +372,7 @@ class Service {
   struct TenantState {
     std::uint64_t deficit = 0;
     std::uint32_t inflight_instances = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t deadline_exceeded = 0;
-    std::uint64_t transfer_failed = 0;
-    std::uint64_t shard_failed = 0;
-    std::uint64_t internal_errors = 0;
-    std::uint64_t sampled_edges = 0;
-    std::uint64_t peak_inflight_instances = 0;
+    TenantStats stats;
   };
 
   /// A batch the dispatcher formed, queued for (or claimed by) a batch

@@ -1,9 +1,14 @@
-#include "multigpu/multi_device.hpp"
-
+// Multi-GPU C-SAW (paper §V-D) through the Sampler facade: instances are
+// split into disjoint groups, one per simulated device, with no
+// inter-device communication; the run completes when the slowest device
+// drains its group.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "algorithms/neighbor_sampling.hpp"
 #include "algorithms/random_walks.hpp"
+#include "core/sampler.hpp"
 #include "graph/generators.hpp"
 
 namespace csaw {
@@ -17,6 +22,18 @@ std::vector<VertexId> spread_seeds(const CsrGraph& g, std::uint32_t n) {
   return seeds;
 }
 
+/// Options for `devices` simulated devices; the graph is pinned in memory
+/// unless `out_of_memory` pages it on every device.
+SamplerOptions multi_device(std::uint32_t devices,
+                            bool out_of_memory = false) {
+  SamplerOptions options;
+  options.mode = ExecutionMode::kMultiDevice;
+  options.num_devices = devices;
+  options.memory_assumption = out_of_memory ? MemoryAssumption::kExceeds
+                                            : MemoryAssumption::kFits;
+  return options;
+}
+
 class DeviceCounts : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(DeviceCounts, SamplesAreIndependentOfDeviceCount) {
@@ -24,19 +41,15 @@ TEST_P(DeviceCounts, SamplesAreIndependentOfDeviceCount) {
   // the union of samples must be identical for any device count — the
   // counter-based RNG makes this exact, not just distributional.
   const CsrGraph g = generate_rmat(1024, 8192, 61);
-  auto setup = biased_random_walk(10);
+  const auto setup = biased_random_walk(10);
   const auto seeds = spread_seeds(g, 60);
 
-  MultiDeviceConfig one;
-  one.num_devices = 1;
-  const MultiDeviceRun reference =
-      run_multi_device_single_seed(g, setup.policy, setup.spec, seeds, one);
+  const RunResult reference =
+      Sampler(g, setup, multi_device(1)).run_single_seed(seeds);
+  const RunResult run =
+      Sampler(g, setup, multi_device(GetParam())).run_single_seed(seeds);
 
-  MultiDeviceConfig many;
-  many.num_devices = GetParam();
-  const MultiDeviceRun run =
-      run_multi_device_single_seed(g, setup.policy, setup.spec, seeds, many);
-
+  EXPECT_EQ(run.mode, ExecutionMode::kMultiDevice);
   ASSERT_EQ(run.samples.num_instances(), reference.samples.num_instances());
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(run.samples.edges(i), reference.samples.edges(i))
@@ -44,19 +57,16 @@ TEST_P(DeviceCounts, SamplesAreIndependentOfDeviceCount) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Counts, DeviceCounts,
-                         ::testing::Values(2, 3, 6));
+INSTANTIATE_TEST_SUITE_P(Counts, DeviceCounts, ::testing::Values(2, 3, 6));
 
 TEST(MultiDevice, MakespanIsMaxOfDevices) {
   const CsrGraph g = generate_rmat(512, 4096, 62);
-  auto setup = unbiased_neighbor_sampling(2, 2);
-  MultiDeviceConfig config;
-  config.num_devices = 3;
-  const auto run = run_multi_device_single_seed(
-      g, setup.policy, setup.spec, spread_seeds(g, 30), config);
+  const auto setup = unbiased_neighbor_sampling(2, 2);
+  const RunResult run =
+      Sampler(g, setup, multi_device(3)).run_single_seed(spread_seeds(g, 30));
   ASSERT_EQ(run.device_seconds.size(), 3u);
-  double max_device = 0.0;
-  for (double t : run.device_seconds) max_device = std::max(max_device, t);
+  const double max_device =
+      *std::max_element(run.device_seconds.begin(), run.device_seconds.end());
   EXPECT_DOUBLE_EQ(run.sim_seconds, max_device);
 }
 
@@ -65,13 +75,11 @@ TEST(MultiDevice, ScalingImprovesWithEnoughInstances) {
   // devices (>= latency_hiding_warps_per_sm * sm_count warps each), more
   // devices are faster; with too few, scaling stalls (Fig. 17(a)).
   const CsrGraph g = generate_rmat(1024, 8192, 63);
-  auto setup = biased_neighbor_sampling(2, 2);
+  const auto setup = biased_neighbor_sampling(2, 2);
 
   auto makespan = [&](std::uint32_t instances, std::uint32_t devices) {
-    MultiDeviceConfig config;
-    config.num_devices = devices;
-    return run_multi_device_single_seed(g, setup.policy, setup.spec,
-                                        spread_seeds(g, instances), config)
+    return Sampler(g, setup, multi_device(devices))
+        .run_single_seed(spread_seeds(g, instances))
         .sim_seconds;
   };
   // Saturated: 6400 instances, 3200 warps per device at 2 devices.
@@ -84,20 +92,18 @@ TEST(MultiDevice, ScalingImprovesWithEnoughInstances) {
 
 TEST(MultiDevice, OutOfMemoryModeMatchesInMemorySamples) {
   const CsrGraph g = generate_rmat(1024, 8192, 64);
-  auto setup = biased_random_walk(8);
+  const auto setup = biased_random_walk(8);
   const auto seeds = spread_seeds(g, 24);
 
-  MultiDeviceConfig in_mem;
-  in_mem.num_devices = 2;
-  const auto reference = run_multi_device_single_seed(
-      g, setup.policy, setup.spec, seeds, in_mem);
+  const RunResult reference =
+      Sampler(g, setup, multi_device(2)).run_single_seed(seeds);
 
-  MultiDeviceConfig oom = in_mem;
-  oom.out_of_memory = true;
-  oom.oom.num_partitions = 4;
-  oom.oom.resident_partitions = 2;
-  const auto run =
-      run_multi_device_single_seed(g, setup.policy, setup.spec, seeds, oom);
+  SamplerOptions paged = multi_device(2, /*out_of_memory=*/true);
+  paged.num_partitions = 4;
+  paged.resident_partitions = 2;
+  Sampler sampler(g, setup, paged);
+  ASSERT_TRUE(sampler.decision().out_of_memory);
+  const RunResult run = sampler.run_single_seed(seeds);
 
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(run.samples.edges(i), reference.samples.edges(i));
@@ -106,11 +112,9 @@ TEST(MultiDevice, OutOfMemoryModeMatchesInMemorySamples) {
 
 TEST(MultiDevice, MoreDevicesThanInstances) {
   const CsrGraph g = generate_rmat(256, 2048, 65);
-  auto setup = simple_random_walk(5);
-  MultiDeviceConfig config;
-  config.num_devices = 6;
-  const auto run = run_multi_device_single_seed(
-      g, setup.policy, setup.spec, spread_seeds(g, 3), config);
+  const auto setup = simple_random_walk(5);
+  const RunResult run =
+      Sampler(g, setup, multi_device(6)).run_single_seed(spread_seeds(g, 3));
   EXPECT_EQ(run.samples.num_instances(), 3u);
   EXPECT_GT(run.samples.total_edges(), 0u);
 }

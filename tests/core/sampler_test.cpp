@@ -8,7 +8,6 @@
 #include "algorithms/random_walks.hpp"
 #include "algorithms/snowball.hpp"
 #include "graph/generators.hpp"
-#include "multigpu/multi_device.hpp"
 #include "util/check.hpp"
 
 namespace csaw {
@@ -294,29 +293,6 @@ TEST(Sampler, TaggedRunRejectsMalformedTags) {
   const std::vector<std::vector<VertexId>> two_seeds = {{0}, {1}};
   const std::vector<std::uint32_t> straddling = {3, 3};
   EXPECT_THROW(split.run_tagged(two_seeds, straddling), CheckError);
-}
-
-TEST(Sampler, LegacyMultiDeviceShimRejectsConflictingOomOffset) {
-  // MultiDeviceConfig.oom.engine.instance_id_offset used to be silently
-  // overridden; the facade rejects the conflict instead.
-  const CsrGraph g = generate_rmat(512, 4096, 81);
-  const auto setup = biased_random_walk(4);
-  const auto seeds = spread_seeds(g, 8);
-
-  MultiDeviceConfig config;
-  config.num_devices = 2;
-  config.out_of_memory = true;
-  config.engine.instance_id_offset = 5;
-  config.oom.engine.instance_id_offset = 9;
-  EXPECT_THROW(run_multi_device_single_seed(g, setup.policy, setup.spec,
-                                            seeds, config),
-               CheckError);
-
-  // A matching (or unset) offset passes through the facade.
-  config.oom.engine.instance_id_offset = 5;
-  const auto run = run_multi_device_single_seed(g, setup.policy, setup.spec,
-                                                seeds, config);
-  EXPECT_GT(run.samples.total_edges(), 0u);
 }
 
 }  // namespace

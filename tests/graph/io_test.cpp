@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -44,6 +48,46 @@ TEST_F(IoTest, BinaryRoundTrip) {
 TEST_F(IoTest, BinaryRejectsGarbage) {
   const auto path = temp_path("garbage.csr");
   std::ofstream(path) << "this is not a csr file";
+  EXPECT_THROW(load_binary(path), CheckError);
+}
+
+TEST_F(IoTest, BinaryRejectsEveryTruncation) {
+  // A weighted file cut at any byte offset short of its full length must
+  // fail typed — including cuts inside the final (weights) array, whose
+  // missing tail must never load as zeros.
+  const CsrGraph g =
+      build_csr({{0, 1, 0.5f}, {1, 2, 1.5f}, {2, 3, 2.5f}}, 0,
+                BuildOptions{.keep_weights = true});
+  ASSERT_FALSE(g.weights().empty());
+  const auto path = temp_path("full.csr");
+  save_binary(g, path);
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), 8u);
+
+  const auto cut_path = temp_path("cut.csr");
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::ofstream(cut_path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(cut));
+    EXPECT_THROW(load_binary(cut_path), CheckError) << "cut at byte " << cut;
+  }
+  // The uncut file still round-trips.
+  EXPECT_EQ(load_binary(path).weights().size(), g.weights().size());
+}
+
+TEST_F(IoTest, BinaryRejectsOversizedCount) {
+  // A header declaring more elements than the file holds is refused
+  // before anything is allocated.
+  const auto path = temp_path("oversized.csr");
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write("CSAWCSR1", 8);
+    const std::uint64_t count = std::numeric_limits<std::uint64_t>::max();
+    os.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    const std::uint64_t payload[2] = {0, 0};
+    os.write(reinterpret_cast<const char*>(payload), sizeof(payload));
+  }
   EXPECT_THROW(load_binary(path), CheckError);
 }
 

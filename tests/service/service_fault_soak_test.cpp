@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "oom/cache/fault_injector.hpp"
 #include "service/service.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 namespace {
@@ -34,8 +34,8 @@ TEST(ServiceFaultSoak, FaultyPagedTrafficClosesItsBooks) {
   config.max_concurrent_batches = 2;
   config.batching_deadline = std::chrono::microseconds(200);
   config.options.memory_assumption = MemoryAssumption::kExceeds;  // page all
-  auto injector = std::make_shared<TransferFaultInjector>([] {
-    TransferFaultInjector::Config c;
+  auto injector = std::make_shared<FaultInjector>([] {
+    FaultInjector::Config c;
     c.seed = 7;
     c.fail_rate = 0.05;
     c.fail_times = 1;  // absorbed by the 2-attempt budget below
@@ -44,8 +44,8 @@ TEST(ServiceFaultSoak, FaultyPagedTrafficClosesItsBooks) {
   }());
   // Two scripted terminal sites (deeper than the retry budget): whichever
   // batches open them fail typed, everyone else retries through.
-  injector->fail_partition(0, 5);
-  injector->fail_partition(1, 5);
+  injector->fail_next(0, 5);
+  injector->fail_next(1, 5);
   config.options.transfer_faults = injector;
   config.options.transfer_retry_limit = 2;
   Service service(config);
@@ -170,12 +170,14 @@ TEST(ServiceFaultSoak, FaultyPagedTrafficClosesItsBooks) {
   EXPECT_EQ(stats.accepted, ok.load() + failed_local);
   EXPECT_EQ(stats.completed, ok.load());
   EXPECT_EQ(stats.failed, failed_local);
-  EXPECT_EQ(stats.cancelled, cancelled.load());
-  EXPECT_EQ(stats.deadline_exceeded, deadline_exceeded.load());
-  EXPECT_EQ(stats.transfer_failed, transfer_failed.load());
-  EXPECT_EQ(stats.internal_errors, 0u);
+  EXPECT_EQ(stats.outcomes[RequestOutcome::kCancelled], cancelled.load());
+  EXPECT_EQ(stats.outcomes[RequestOutcome::kDeadlineExceeded],
+            deadline_exceeded.load());
+  EXPECT_EQ(stats.outcomes[RequestOutcome::kTransferFailed],
+            transfer_failed.load());
+  EXPECT_EQ(stats.outcomes[RequestOutcome::kInternal], 0u);
   EXPECT_EQ(stats.rejected_total(), rejected.load());
-  EXPECT_EQ(stats.rejected_deadline_expired, rejected.load());
+  EXPECT_EQ(stats.rejected[RejectReason::kDeadlineExpired], rejected.load());
   EXPECT_EQ(stats.sampled_edges, edges.load());
   EXPECT_GT(stats.completed, 0u);
   EXPECT_GT(stats.sampled_edges, 0u);
@@ -192,9 +194,11 @@ TEST(ServiceFaultSoak, FaultyPagedTrafficClosesItsBooks) {
     tenant_completed += tenant.completed;
     tenant_failed += tenant.failed;
     tenant_edges += tenant.sampled_edges;
-    EXPECT_EQ(tenant.failed, tenant.cancelled + tenant.deadline_exceeded +
-                                 tenant.transfer_failed +
-                                 tenant.internal_errors)
+    EXPECT_EQ(tenant.failed,
+              tenant.outcomes[RequestOutcome::kCancelled] +
+                  tenant.outcomes[RequestOutcome::kDeadlineExceeded] +
+                  tenant.outcomes[RequestOutcome::kTransferFailed] +
+                  tenant.outcomes[RequestOutcome::kInternal])
         << tenant.tenant;
   }
   EXPECT_EQ(tenant_accepted, stats.accepted);

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "oom/cache/fault_injector.hpp"
 #include "oom/partitioned_graph.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 namespace {
@@ -86,8 +86,8 @@ TEST(ServiceFault, RetriedFaultsAreByteInvisible) {
   ASSERT_TRUE(ref.oom.has_value());
 
   ServiceConfig config = paged_config();
-  auto injector = std::make_shared<TransferFaultInjector>();
-  injector->fail_partition(0, 2);
+  auto injector = std::make_shared<FaultInjector>();
+  injector->fail_next(0, 2);
   config.options.transfer_faults = injector;
   config.options.transfer_retry_limit = 3;
   Service service(config);
@@ -117,8 +117,8 @@ TEST(ServiceFault, ExhaustedRetryFailsOnlyThatBatch) {
 
   ServiceConfig config = paged_config();
   config.start_paused = true;  // let both requests coalesce into one batch
-  auto injector = std::make_shared<TransferFaultInjector>();
-  injector->fail_partition(0, 1);
+  auto injector = std::make_shared<FaultInjector>();
+  injector->fail_next(0, 1);
   config.options.transfer_faults = injector;
   config.options.transfer_retry_limit = 1;
   Service service(config);
@@ -146,7 +146,7 @@ TEST(ServiceFault, ExhaustedRetryFailsOnlyThatBatch) {
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.failed, 2u);
-  EXPECT_EQ(stats.transfer_failed, 2u);
+  EXPECT_EQ(stats.outcomes[RequestOutcome::kTransferFailed], 2u);
   EXPECT_EQ(stats.sampled_edges, 0u);
 
   // The scripted site was consumed by the failure: the same request
@@ -183,7 +183,7 @@ TEST(ServiceFault, ExpiredDeadlineIsRejectedAtAdmission) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.accepted, 0u);
-  EXPECT_EQ(stats.rejected_deadline_expired, 1u);
+  EXPECT_EQ(stats.rejected[RejectReason::kDeadlineExpired], 1u);
   EXPECT_EQ(stats.rejected_total(), 1u);
 }
 
@@ -214,7 +214,7 @@ TEST(ServiceFault, QueuedRequestFailsFastWhenItsDeadlineExpires) {
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.outcomes[RequestOutcome::kDeadlineExceeded], 1u);
   EXPECT_EQ(stats.batches, 0u);  // never dispatched
   EXPECT_EQ(service.health().timed_requests, 0u);  // timer retired
   service.resume();
@@ -255,9 +255,9 @@ TEST(ServiceFault, CancelledQueuedRequestIsSweptNotDispatched) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.outcomes[RequestOutcome::kCancelled], 1u);
   ASSERT_EQ(stats.tenants.size(), 1u);
-  EXPECT_EQ(stats.tenants[0].cancelled, 1u);
+  EXPECT_EQ(stats.tenants[0].outcomes[RequestOutcome::kCancelled], 1u);
   EXPECT_EQ(stats.tenants[0].failed, 1u);
   EXPECT_EQ(stats.tenants[0].completed, 1u);
 }

@@ -107,10 +107,13 @@ TEST(ServiceSoak, MixedTrafficFromEightClients) {
   EXPECT_EQ(stats.accepted, resolved.load());
   EXPECT_EQ(stats.completed, resolved.load());
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.failed, stats.cancelled + stats.deadline_exceeded +
-                              stats.transfer_failed + stats.internal_errors);
+  EXPECT_EQ(stats.failed,
+            stats.outcomes[RequestOutcome::kCancelled] +
+                stats.outcomes[RequestOutcome::kDeadlineExceeded] +
+                stats.outcomes[RequestOutcome::kTransferFailed] +
+                stats.outcomes[RequestOutcome::kInternal]);
   EXPECT_EQ(stats.rejected_total(), rejected.load());
-  EXPECT_EQ(stats.rejected_unknown_graph, rejected.load());
+  EXPECT_EQ(stats.rejected[RejectReason::kUnknownGraph], rejected.load());
   EXPECT_EQ(stats.sampled_edges, edges.load());
   EXPECT_GT(stats.sampled_edges, 0u);
   EXPECT_LE(stats.batches, stats.completed);
@@ -132,9 +135,11 @@ TEST(ServiceSoak, MixedTrafficFromEightClients) {
     tenant_edges += tenant.sampled_edges;
     EXPECT_LE(tenant.peak_inflight_instances, 12u);  // the quota held
     // Fault-free traffic: the failure breakdown exists and closes at 0.
-    EXPECT_EQ(tenant.failed, tenant.cancelled + tenant.deadline_exceeded +
-                                 tenant.transfer_failed +
-                                 tenant.internal_errors)
+    EXPECT_EQ(tenant.failed,
+              tenant.outcomes[RequestOutcome::kCancelled] +
+                  tenant.outcomes[RequestOutcome::kDeadlineExceeded] +
+                  tenant.outcomes[RequestOutcome::kTransferFailed] +
+                  tenant.outcomes[RequestOutcome::kInternal])
         << tenant.tenant;
   }
   EXPECT_EQ(tenant_accepted, stats.accepted);

@@ -152,7 +152,8 @@ TEST(ServiceStreamSoak, MixedStreamingAndBufferedClients) {
   EXPECT_EQ(stats.completed + stats.failed, stats.accepted);
   EXPECT_GE(stats.completed, buffered_done.load() + streams_ok.load());
   EXPECT_LE(stats.failed, streams_failed.load() + streams_abandoned.load());
-  EXPECT_EQ(stats.cancelled, stats.failed);  // only cancel-shaped faults
+  // Only cancel-shaped faults.
+  EXPECT_EQ(stats.outcomes[RequestOutcome::kCancelled], stats.failed);
   EXPECT_GT(streams_ok.load(), 0u);
   EXPECT_GT(streams_failed.load(), 0u);
   EXPECT_GT(streams_abandoned.load(), 0u);

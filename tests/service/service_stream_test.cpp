@@ -223,7 +223,7 @@ TEST(ServiceStream, CancelMidStreamDeliversPrefixThenTypedOutcome) {
   // The cancel genuinely cut the run short: not every instance streamed.
   EXPECT_LT(delivered, kInstances);
   service.drain();
-  EXPECT_EQ(service.stats().cancelled, 1u);
+  EXPECT_EQ(service.stats().outcomes[RequestOutcome::kCancelled], 1u);
 }
 
 TEST(ServiceStream, DeadlineMidStreamSurfacesAsDeadlineExceeded) {
@@ -264,7 +264,7 @@ TEST(ServiceStream, DeadlineMidStreamSurfacesAsDeadlineExceeded) {
   }
   EXPECT_LT(delivered, kInstances);
   service.drain();
-  EXPECT_EQ(service.stats().deadline_exceeded, 1u);
+  EXPECT_EQ(service.stats().outcomes[RequestOutcome::kDeadlineExceeded], 1u);
 }
 
 TEST(ServiceStream, QueuedDeadlineExpiryFailsTheStreamFast) {
@@ -292,7 +292,7 @@ TEST(ServiceStream, QueuedDeadlineExpiryFailsTheStreamFast) {
   EXPECT_EQ(streaming.stream->delivered_chunks(), 0u);
   service.resume();
   service.drain();
-  EXPECT_EQ(service.stats().deadline_exceeded, 1u);
+  EXPECT_EQ(service.stats().outcomes[RequestOutcome::kDeadlineExceeded], 1u);
 }
 
 TEST(ServiceStream, AbandoningTheStreamCancelsTheRequest) {
@@ -313,7 +313,7 @@ TEST(ServiceStream, AbandoningTheStreamCancelsTheRequest) {
     // The stream handle dies here with the producer likely parked.
   }
   service.drain();  // must not hang
-  EXPECT_EQ(service.stats().cancelled, 1u);
+  EXPECT_EQ(service.stats().outcomes[RequestOutcome::kCancelled], 1u);
   EXPECT_EQ(service.stats().completed, 0u);
 }
 

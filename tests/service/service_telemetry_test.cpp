@@ -12,15 +12,16 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "oom/cache/fault_injector.hpp"
 #include "oom/partitioned_graph.hpp"
 #include "service/service.hpp"
 #include "telemetry/trace.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 namespace {
@@ -158,26 +159,64 @@ TEST(ServiceTelemetry, HealthReportsOutcomeRates) {
 
   const ServiceHealth ok_health = service.health();
   EXPECT_EQ(ok_health.window, 1u);
-  EXPECT_EQ(ok_health.recent_ok, 1u);
-  EXPECT_DOUBLE_EQ(ok_health.ok_rate, 1.0);
-  EXPECT_DOUBLE_EQ(ok_health.cancelled_rate, 0.0);
+  EXPECT_EQ(ok_health.recent[RequestOutcome::kOk], 1u);
+  EXPECT_DOUBLE_EQ(ok_health.rates[RequestOutcome::kOk], 1.0);
+  EXPECT_DOUBLE_EQ(ok_health.rates[RequestOutcome::kCancelled], 0.0);
 
   const ServiceHealth cancelled_health = paused.health();
   EXPECT_EQ(cancelled_health.window, 1u);
-  EXPECT_EQ(cancelled_health.recent_cancelled, 1u);
+  EXPECT_EQ(cancelled_health.recent[RequestOutcome::kCancelled], 1u);
   EXPECT_EQ(cancelled_health.recent_failures, 1u);
-  EXPECT_DOUBLE_EQ(cancelled_health.cancelled_rate, 1.0);
-  EXPECT_DOUBLE_EQ(cancelled_health.ok_rate, 0.0);
+  EXPECT_DOUBLE_EQ(cancelled_health.rates[RequestOutcome::kCancelled], 1.0);
+  EXPECT_DOUBLE_EQ(cancelled_health.rates[RequestOutcome::kOk], 0.0);
 }
 
 TEST(ServiceTelemetry, EmptyHealthWindowHasZeroRates) {
   Service service(serial_config());
   const ServiceHealth health = service.health();
   EXPECT_EQ(health.window, 0u);
-  EXPECT_DOUBLE_EQ(health.ok_rate, 0.0);
-  EXPECT_DOUBLE_EQ(health.cancelled_rate + health.deadline_rate +
-                       health.transfer_failed_rate + health.internal_rate,
+  EXPECT_DOUBLE_EQ(health.rates[RequestOutcome::kOk], 0.0);
+  EXPECT_DOUBLE_EQ(health.rates[RequestOutcome::kCancelled] +
+                       health.rates[RequestOutcome::kDeadlineExceeded] +
+                       health.rates[RequestOutcome::kTransferFailed] +
+                       health.rates[RequestOutcome::kInternal],
                    0.0);
+}
+
+TEST(ServiceTelemetry, EveryOutcomeAndRejectReasonHasADistinctLabel) {
+  // Table test over the enums: a value added without a to_string label
+  // (or with a duplicate one) fails here, and every value is exposed in
+  // each family that carries it.
+  Service service(serial_config());
+  const std::string text = service.metrics_text();
+  const auto exposes = [&text](const std::string& family,
+                               const std::string& labels) {
+    return text.find("\n" + family + "{" + labels + "} ") !=
+           std::string::npos;
+  };
+
+  std::set<std::string> outcome_labels;
+  for (std::size_t o = 0; o < kRequestOutcomeCount; ++o) {
+    const std::string label = to_string(static_cast<RequestOutcome>(o));
+    EXPECT_NE(label, "unknown") << "outcome " << o;
+    EXPECT_TRUE(outcome_labels.insert(label).second) << label;
+    const std::string labels = "outcome=\"" + label + "\"";
+    EXPECT_TRUE(exposes("csaw_request_outcomes_total", labels)) << label;
+    EXPECT_TRUE(exposes("csaw_recent_outcome_rate", labels)) << label;
+  }
+
+  std::set<std::string> reject_labels;
+  for (std::size_t r = 0; r < kRejectReasonCount; ++r) {
+    const auto reason = static_cast<RejectReason>(r);
+    const std::string label = to_string(reason);
+    EXPECT_NE(label, "unknown") << "reason " << r;
+    EXPECT_TRUE(reject_labels.insert(label).second) << label;
+    // kNone means "accepted" and is not a rejection family member.
+    EXPECT_EQ(exposes("csaw_requests_rejected_total",
+                      "reason=\"" + label + "\""),
+              reason != RejectReason::kNone)
+        << label;
+  }
 }
 
 TEST(ServiceTelemetry, TraceNestsChainSpansInsideBatchSpans) {
@@ -252,8 +291,8 @@ TEST(ServiceTelemetry, TraceWrapsTransferRetriesInTransferSpans) {
   ServiceConfig config = serial_config();
   config.options.memory_assumption = MemoryAssumption::kExceeds;
   config.trace = std::make_shared<telemetry::TraceRecorder>();
-  auto injector = std::make_shared<TransferFaultInjector>();
-  injector->fail_partition(0, 2);
+  auto injector = std::make_shared<FaultInjector>();
+  injector->fail_next(0, 2);
   config.options.transfer_faults = injector;
   config.options.transfer_retry_limit = 3;
   Service service(config);

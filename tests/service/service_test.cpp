@@ -51,7 +51,7 @@ TEST(Service, RejectsUnknownGraph) {
   Submission submission = service.submit(std::move(request));
   EXPECT_EQ(submission.rejected, RejectReason::kUnknownGraph);
   EXPECT_FALSE(submission.accepted());
-  EXPECT_EQ(service.stats().rejected_unknown_graph, 1u);
+  EXPECT_EQ(service.stats().rejected[RejectReason::kUnknownGraph], 1u);
   EXPECT_EQ(service.stats().accepted, 0u);
 }
 
@@ -70,8 +70,8 @@ TEST(Service, RejectsEmptyAndInvalidRequests) {
             RejectReason::kInvalidSeed);
 
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.rejected_empty, 1u);
-  EXPECT_EQ(stats.rejected_invalid_seed, 1u);
+  EXPECT_EQ(stats.rejected[RejectReason::kEmptyRequest], 1u);
+  EXPECT_EQ(stats.rejected[RejectReason::kInvalidSeed], 1u);
   EXPECT_EQ(stats.rejected_total(), 2u);
 }
 
@@ -87,7 +87,7 @@ TEST(Service, RejectsOversizedRequests) {
   Submission ok = service.submit(walk_request(4));
   EXPECT_TRUE(ok.accepted());
   ok.result.get();
-  EXPECT_EQ(service.stats().rejected_oversized, 1u);
+  EXPECT_EQ(service.stats().rejected[RejectReason::kOversizedRequest], 1u);
 }
 
 TEST(Service, RejectsPinnedStreamRangeThatWouldWrap) {
@@ -156,7 +156,7 @@ TEST(Service, RejectsWhenQueueFull) {
   EXPECT_TRUE(first.accepted());
   EXPECT_TRUE(second.accepted());
   EXPECT_EQ(third.rejected, RejectReason::kQueueFull);
-  EXPECT_EQ(service.stats().rejected_queue_full, 1u);
+  EXPECT_EQ(service.stats().rejected[RejectReason::kQueueFull], 1u);
   EXPECT_EQ(service.stats().peak_queue_depth, 2u);
 
   // The bound is on queued requests: once the dispatcher drains them,
@@ -184,7 +184,7 @@ TEST(Service, ShutdownRejectsNewButDrainsQueued) {
   Submission late = service.submit(walk_request(1));
   EXPECT_EQ(late.rejected, RejectReason::kShutdown);
   EXPECT_THROW(service.sample(walk_request(1)), ServiceError);
-  EXPECT_EQ(service.stats().rejected_shutdown, 2u);
+  EXPECT_EQ(service.stats().rejected[RejectReason::kShutdown], 2u);
   EXPECT_EQ(service.stats().completed, 1u);
 }
 

@@ -108,8 +108,8 @@ TEST(ServiceSharding, ShardedBatchesAreCountedAndAttributed) {
 
 TEST(ServiceSharding, TerminalShardFailureIsTypedPerRequest) {
   ServiceConfig config = sharded_config(4, 1);
-  config.shard_faults = std::make_shared<ShardFaultInjector>();
-  config.shard_faults->fail_shard(2);
+  config.shard_faults = std::make_shared<FaultInjector>();
+  config.shard_faults->kill(2);
   Service service(config);
   service.add_graph("g", shared_graph());
 
@@ -147,12 +147,12 @@ TEST(ServiceSharding, TerminalShardFailureIsTypedPerRequest) {
   expect_same_samples(got.samples, want.samples, "survivor");
 
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.shard_failed, 1u);
+  EXPECT_EQ(stats.outcomes[RequestOutcome::kShardFailed], 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 1u);
   const ServiceHealth health = service.health();
-  EXPECT_EQ(health.recent_shard_failed, 1u);
-  EXPECT_GT(health.shard_failed_rate, 0.0);
+  EXPECT_EQ(health.recent[RequestOutcome::kShardFailed], 1u);
+  EXPECT_GT(health.rates[RequestOutcome::kShardFailed], 0.0);
   const std::string text = service.metrics_text();
   EXPECT_NE(
       text.find("csaw_request_outcomes_total{outcome=\"shard_failed\"} 1"),
@@ -164,11 +164,11 @@ TEST(ServiceSharding, GatherOrderStableUnderSlowShard) {
   // but each request still gathers its instances in instance order with
   // unsharded bytes — consumer-visible order never depends on shard
   // timing.
-  ShardFaultInjector::Config faults;
+  FaultInjector::Config faults;
   faults.slow_rate = 1.0;
   faults.slow_factor = 8.0;
   ServiceConfig config = sharded_config(3, 2);
-  config.shard_faults = std::make_shared<ShardFaultInjector>(faults);
+  config.shard_faults = std::make_shared<FaultInjector>(faults);
   Service service(config);
   service.add_graph("g", shared_graph());
 
