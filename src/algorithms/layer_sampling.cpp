@@ -10,8 +10,8 @@ AlgorithmSetup layer_sampling(std::uint32_t layer_size, std::uint32_t depth) {
   setup.spec.filter_visited = true;
   setup.spec.with_replacement = false;
   setup.spec.branching_cap = layer_size;
-  setup.policy.edge_bias = [](const GraphView& view, const EdgeRef& e,
-                              const InstanceContext&) {
+  setup.policy.static_edge_bias = [](const GraphView& view,
+                                     const EdgeRef& e) {
     return e.weight * static_cast<float>(view.degree(e.u));
   };
   return setup;

@@ -61,11 +61,39 @@ std::uint32_t frontier_slot_base(std::uint32_t slot) {
 }
 }  // namespace rng_slots
 
+namespace {
+
+/// Lock-step rounds for one pass of a 32-lane warp over n items.
+std::uint64_t lane_rounds(std::size_t n) {
+  return (n + sim::WarpContext::kLanes - 1) / sim::WarpContext::kLanes;
+}
+
+/// v's weights aligned with `adj`, bounds-checked once per vertex; empty
+/// when the graph is unweighted (see weight_at).
+std::span<const float> aligned_weights(const GraphView& view, VertexId v,
+                                       std::span<const VertexId> adj) {
+  const auto weights = view.edge_weights(v);
+  CSAW_CHECK(weights.empty() || weights.size() == adj.size());
+  return weights;
+}
+
+float weight_at(std::span<const float> weights, std::size_t e) {
+  return weights.empty() ? 1.0f : weights[e];
+}
+
+}  // namespace
+
+bool uses_static_ctps(const Policy& policy, const SamplingSpec& spec) {
+  return policy.static_edge_bias && spec.with_replacement &&
+         !spec.filter_visited && !spec.sample_all_neighbors &&
+         !spec.layer_mode;
+}
+
 FrontierResult process_frontier_vertex(
     const GraphView& view, const Policy& policy, const SamplingSpec& spec,
     const CounterStream& rng, ItsSelector& selector, InstanceState& instance,
     const FrontierWorkItem& item, sim::WarpContext& warp,
-    std::vector<float>& bias_scratch) {
+    std::vector<float>& bias_scratch, StaticCtpsTable* static_ctps) {
   FrontierResult result;
 
   // GATHERNEIGHBORS (Fig. 2(b) line 5): one row_ptr pair plus the
@@ -94,27 +122,37 @@ FrontierResult process_frontier_vertex(
       instance.visited.size() > 0 ? &instance.visited : nullptr};
 
   const auto adj = view.neighbors(item.vertex);
+  const auto weights = aligned_weights(view, item.vertex, adj);
+  const SelectCoords coords{item.instance, item.depth, slot_base};
+  StaticCtpsTable::Row row;
+  if (static_ctps != nullptr && uses_static_ctps(policy, spec)) {
+    row = static_ctps->visit(view, item.vertex, bias_scratch);
+  }
   std::vector<std::uint32_t> selected;
   if (spec.sample_all_neighbors) {
     // Snowball: the whole neighbor list is the sample; no SELECT.
     selected.resize(adj.size());
     std::iota(selected.begin(), selected.end(), 0u);
-    warp.charge_rounds((adj.size() + sim::WarpContext::kLanes - 1) /
-                       sim::WarpContext::kLanes);
+    warp.charge_rounds(lane_rounds(adj.size()));
+  } else if (row.state != StaticCtpsTable::State::kBuilding) {
+    // Static bias with a stored row: the simulated warp still evaluates
+    // EDGEBIAS and rebuilds the CTPS this step (select_prebuilt charges
+    // the scan), the host just reuses the row.
+    warp.charge_rounds(lane_rounds(adj.size()));
+    if (row.state == StaticCtpsTable::State::kUnselectable) return result;
+    selected = selector.select_prebuilt(row.f, k, rng, coords, warp);
   } else {
     // EDGEBIAS over the NeighborPool, evaluated lane-parallel (one
     // lock-step round per 32 edges).
     bias_scratch.resize(adj.size());
     double total_bias = 0.0;
     for (std::size_t e = 0; e < adj.size(); ++e) {
-      const EdgeRef edge{item.vertex, adj[e],
-                         view.edge_weight(item.vertex, e),
+      const EdgeRef edge{item.vertex, adj[e], weight_at(weights, e),
                          static_cast<EdgeIndex>(e)};
       bias_scratch[e] = policy.eval_edge_bias(view, edge, ctx);
       total_bias += bias_scratch[e];
     }
-    warp.charge_rounds((adj.size() + sim::WarpContext::kLanes - 1) /
-                       sim::WarpContext::kLanes);
+    warp.charge_rounds(lane_rounds(adj.size()));
     if (total_bias <= 0.0) return result;  // nothing selectable
 
     // Sampling without replacement collides against the instance's whole
@@ -129,18 +167,15 @@ FrontierResult process_frontier_vertex(
       }
     }
 
-    selected = selector.select(
-        bias_scratch, k, rng,
-        SelectCoords{item.instance, item.depth, slot_base}, warp,
-        pre_selected);
+    selected = selector.select(bias_scratch, k, rng, coords, warp,
+                               pre_selected);
   }
 
   // UPDATE (line 7) + Samples.INSERT (line 8).
   const std::uint32_t cap = spec.effective_branching_cap();
   for (std::size_t s = 0; s < selected.size(); ++s) {
     const std::uint32_t e = selected[s];
-    const EdgeRef edge{item.vertex, adj[e],
-                       view.edge_weight(item.vertex, e),
+    const EdgeRef edge{item.vertex, adj[e], weight_at(weights, e),
                        static_cast<EdgeIndex>(e)};
     result.sampled.push_back(Edge{edge.v, edge.u, edge.weight});
 
@@ -198,6 +233,11 @@ SamplingEngine::SamplingEngine(const GraphView& view, Policy policy,
         c.with_replacement = false;  // pool positions are picked distinct
         return c;
       }()) {
+  policy_.validate();
+  CSAW_CHECK_MSG(config_.static_ctps == nullptr ||
+                     config_.static_ctps->graph().num_vertices() ==
+                         view.num_vertices(),
+                 "static CTPS table built over a different graph");
   CSAW_CHECK(spec_.depth >= 1);
   CSAW_CHECK(spec_.neighbor_size >= 1);
   CSAW_CHECK(spec_.frontier_size >= 1);
@@ -424,8 +464,7 @@ std::vector<std::uint32_t> SamplingEngine::select_frontier_body(
     ws.bias_scratch[p] = policy_.eval_vertex_bias(*view_, inst.pool[p], ctx);
     total += ws.bias_scratch[p];
   }
-  warp.charge_rounds((inst.pool.size() + sim::WarpContext::kLanes - 1) /
-                     sim::WarpContext::kLanes);
+  warp.charge_rounds(lane_rounds(inst.pool.size()));
   if (total <= 0.0) return {};
 
   return ws.frontier_selector->select(
@@ -484,7 +523,7 @@ SamplingEngine::sample_position_body(InstanceState& inst,
   FrontierResult result =
       process_frontier_vertex(*view_, policy_, spec_, rng_,
                               ws.neighbor_selector, inst, item, warp,
-                              ws.bias_scratch);
+                              ws.bias_scratch, config_.static_ctps.get());
   for (const Edge& e : result.sampled) {
     samples.add(local_instance, e);
   }
@@ -534,9 +573,10 @@ SamplingEngine::sample_layer_body(InstanceState& inst,
   std::vector<PoolEdge> pool_edges;
   for (VertexId v : inst.pool) {
     const auto adj = view_->neighbors(v);
+    const auto weights = aligned_weights(*view_, v, adj);
     warp.charge_global(2 * sizeof(EdgeIndex) + adj.size() * sizeof(VertexId));
     for (std::size_t e = 0; e < adj.size(); ++e) {
-      pool_edges.push_back(PoolEdge{v, adj[e], view_->edge_weight(v, e),
+      pool_edges.push_back(PoolEdge{v, adj[e], weight_at(weights, e),
                                     static_cast<EdgeIndex>(e)});
     }
   }
@@ -550,8 +590,7 @@ SamplingEngine::sample_layer_body(InstanceState& inst,
     ws.bias_scratch[e] = policy_.eval_edge_bias(*view_, edge, ctx);
     total += ws.bias_scratch[e];
   }
-  warp.charge_rounds((pool_edges.size() + sim::WarpContext::kLanes - 1) /
-                     sim::WarpContext::kLanes);
+  warp.charge_rounds(lane_rounds(pool_edges.size()));
   if (total <= 0.0) return {};
 
   // Pool entries whose endpoint is already sampled collide (the

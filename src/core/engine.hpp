@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -12,6 +13,7 @@
 #include "core/policy.hpp"
 #include "core/run_result.hpp"
 #include "core/sample_store.hpp"
+#include "core/static_ctps.hpp"
 #include "gpusim/device.hpp"
 #include "select/its.hpp"
 #include "telemetry/trace.hpp"
@@ -161,6 +163,12 @@ struct EngineConfig {
   /// Batch id stamped on every span this run emits (the service uses its
   /// dispatcher batch sequence number; standalone runs leave 0).
   std::uint64_t trace_batch = 0;
+  /// Shared per-vertex CTPS table over this engine's graph and policy's
+  /// static_edge_bias, or null. Consulted only when
+  /// uses_static_ctps(policy, spec) holds; csaw::Sampler creates one per
+  /// (graph, policy) and the service one per (graph, algorithm). Samples,
+  /// sim_seconds and kernel stats are identical with or without it.
+  std::shared_ptr<StaticCtpsTable> static_ctps;
 
   /// True when a recorder is attached — the may_cancel() idiom: hot
   /// sites test this single pointer before building any event.
@@ -259,15 +267,26 @@ struct WorkerScratch {
       : neighbor_selector(neighbor), frontier_selector(frontier) {}
 };
 
+/// Whether a StaticCtpsTable can serve `spec` under `policy`: the policy
+/// declares a static EDGEBIAS and every visit draws with replacement over
+/// the whole neighbor list (walk-shaped specs without visited filtering).
+/// Without-replacement specs collide against per-instance state, so they
+/// keep the per-step path.
+bool uses_static_ctps(const Policy& policy, const SamplingSpec& spec);
+
 /// Executes GATHERNEIGHBORS + EDGEBIAS + SELECT + UPDATE for one frontier
-/// vertex against any GraphView. Both engines call exactly this function,
+/// vertex against any GraphView. Every engine calls exactly this function,
 /// which is what makes the OOM ≡ in-memory equivalence tests meaningful.
 /// Visited filtering mutates `instance` when the spec requires it.
+/// `static_ctps` (nullable; over the view's graph and the policy's static
+/// bias) replaces the per-step EDGEBIAS loop and scan with a stored row
+/// when uses_static_ctps(policy, spec) holds; the warp is charged the
+/// same either way.
 FrontierResult process_frontier_vertex(
     const GraphView& view, const Policy& policy, const SamplingSpec& spec,
     const CounterStream& rng, ItsSelector& selector, InstanceState& instance,
     const FrontierWorkItem& item, sim::WarpContext& warp,
-    std::vector<float>& bias_scratch);
+    std::vector<float>& bias_scratch, StaticCtpsTable* static_ctps);
 
 /// The in-memory C-SAW engine: executes the Fig. 2(b) MAIN loop as a
 /// sequence of simulated GPU kernels (one warp per instance for frontier

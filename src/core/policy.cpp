@@ -1,10 +1,13 @@
 #include "core/policy.hpp"
 
-// Policy and the graph views are header-only; this translation unit exists
-// to anchor the vtable of GraphView implementations defined in the header.
+#include "util/check.hpp"
 
 namespace csaw {
 
-// Intentionally empty.
+void Policy::validate() const {
+  CSAW_CHECK_MSG(!(edge_bias && static_edge_bias),
+                 "Policy sets both edge_bias and static_edge_bias; "
+                 "set at most one EDGEBIAS hook");
+}
 
 }  // namespace csaw

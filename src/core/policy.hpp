@@ -25,6 +25,9 @@ class GraphView {
   virtual std::span<const VertexId> neighbors(VertexId v) const = 0;
   /// Weight of the k-th out-edge of v (1.0 when unweighted).
   virtual float edge_weight(VertexId v, EdgeIndex k) const = 0;
+  /// Weights aligned with neighbors(v); empty when the graph is
+  /// unweighted (every weight is 1.0).
+  virtual std::span<const float> edge_weights(VertexId v) const = 0;
   /// O(log degree(v)) membership test (node2vec's distance bias).
   virtual bool has_edge(VertexId v, VertexId u) const = 0;
 };
@@ -41,6 +44,9 @@ class CsrGraphView final : public GraphView {
   }
   float edge_weight(VertexId v, EdgeIndex k) const override {
     return graph_->edge_weight(v, k);
+  }
+  std::span<const float> edge_weights(VertexId v) const override {
+    return graph_->edge_weights(v);
   }
   bool has_edge(VertexId v, VertexId u) const override {
     return graph_->has_edge(v, u);
@@ -88,6 +94,15 @@ struct Policy {
                       const InstanceContext&)>
       edge_bias;
 
+  /// Static EDGEBIAS: the same Equation 3 hook for biases that depend on
+  /// the edge alone. It takes no InstanceContext, so the type itself
+  /// proves the bias never changes between visits, which lets walk-shaped
+  /// specs reuse one per-vertex CTPS (core/static_ctps.hpp) instead of
+  /// re-biasing and re-scanning the neighbor list on every step. Samples
+  /// and simulated costs are identical to setting the same function as
+  /// `edge_bias`. At most one of the two hooks may be set.
+  std::function<float(const GraphView&, const EdgeRef& e)> static_edge_bias;
+
   /// UPDATE: the vertex to insert into the FrontierPool given sampled
   /// edge e (Equation 4); kInvalidVertex inserts nothing. `r` is a
   /// uniform [0,1) draw for probabilistic decisions (jump/restart).
@@ -100,9 +115,11 @@ struct Policy {
                          const InstanceContext& ctx) const {
     return vertex_bias ? vertex_bias(view, v, ctx) : 1.0f;
   }
-  /// Evaluates EDGEBIAS with the uniform default.
+  /// Evaluates EDGEBIAS through whichever hook is set, with the uniform
+  /// default.
   float eval_edge_bias(const GraphView& view, const EdgeRef& e,
                        const InstanceContext& ctx) const {
+    if (static_edge_bias) return static_edge_bias(view, e);
     return edge_bias ? edge_bias(view, e, ctx) : 1.0f;
   }
   /// Evaluates UPDATE with the "advance to the sampled neighbor" default.
@@ -110,6 +127,10 @@ struct Policy {
                        const InstanceContext& ctx, double r) const {
     return update ? update(view, e, ctx, r) : e.u;
   }
+
+  /// Rejects a policy that sets both `edge_bias` and `static_edge_bias`
+  /// (CheckError). Every engine calls this at construction.
+  void validate() const;
 };
 
 }  // namespace csaw

@@ -199,7 +199,9 @@ Sampler::Sampler(const CsrGraph& graph, Policy policy, SamplingSpec spec,
       policy_(std::move(policy)),
       spec_(std::move(spec)),
       options_(std::move(options)),
-      decision_(resolve_mode(graph, spec_, options_)) {}
+      decision_(resolve_mode(graph, spec_, options_)) {
+  policy_.validate();
+}
 
 Sampler::Sampler(const CsrGraph& graph, const AlgorithmSetup& setup,
                  SamplerOptions options)
@@ -271,12 +273,22 @@ void Sampler::set_partition_cache(std::shared_ptr<PartitionCache> cache) {
   if (cache_ != nullptr) parts_ = cache_->parts_ptr();
 }
 
+void Sampler::set_static_ctps(std::shared_ptr<StaticCtpsTable> table) {
+  CSAW_CHECK_MSG(table == nullptr || &table->graph() == graph_,
+                 "static CTPS table built over a different graph");
+  static_ctps_ = std::move(table);
+}
+
 RunResult Sampler::dispatch(std::span<const std::vector<VertexId>> seeds,
                             std::uint32_t instance_id_offset,
                             std::span<const std::uint32_t> tags,
                             CancelToken cancel,
                             std::span<const CancelToken> instance_cancel,
                             const SampleStore::CompletionCallback& on_complete) {
+  if (static_ctps_ == nullptr && uses_static_ctps(policy_, spec_)) {
+    static_ctps_ = std::make_shared<StaticCtpsTable>(
+        *graph_, policy_.static_edge_bias);
+  }
   RunResult result;
   switch (decision_.resolved) {
     case ExecutionMode::kInMemory:
@@ -330,6 +342,7 @@ RunResult Sampler::run_in_memory(
   config.on_instance_complete = on_complete;
   config.trace = trace_;
   config.trace_batch = trace_batch_;
+  config.static_ctps = static_ctps_;
   SamplingEngine engine(view, policy_, spec_, config);
   SampleRun run = engine.run(device, seeds);
 
@@ -358,6 +371,7 @@ RunResult Sampler::run_out_of_memory(
   config.engine.on_instance_complete = on_complete;
   config.engine.trace = trace_;
   config.engine.trace_batch = trace_batch_;
+  config.engine.static_ctps = static_ctps_;
   if (parts_ == nullptr) {
     // Single-device dispatch only; the multi-device path pre-builds the
     // partitioning before its groups run concurrently.

@@ -264,6 +264,14 @@ class Sampler {
   /// device has its own memory).
   void set_partition_cache(std::shared_ptr<PartitionCache> cache);
 
+  /// Shares a per-vertex CTPS table (core/static_ctps.hpp) over this
+  /// sampler's graph and the same static EDGEBIAS as its policy, instead
+  /// of creating one on the first run — the service keeps one table per
+  /// (graph, algorithm) so rows stay warm across batches. Used only when
+  /// uses_static_ctps(policy(), spec()) holds; null restores the lazy
+  /// per-sampler table.
+  void set_static_ctps(std::shared_ptr<StaticCtpsTable> table);
+
  private:
   /// Dispatches one run with an explicit global-id base offset (the
   /// batched path shifts it per chunk) or explicit per-instance tags
@@ -312,6 +320,10 @@ class Sampler {
   /// every single-device OOM engine this sampler runs (set_partition_cache
   /// or lazily created with resident_partitions slots).
   std::shared_ptr<PartitionCache> cache_;
+  /// Static-bias walk specs only: the CTPS table shared by every engine
+  /// and device group this sampler runs (set_static_ctps, or created by
+  /// the first dispatch before multi-device groups race).
+  std::shared_ptr<StaticCtpsTable> static_ctps_;
   /// The persistent host thread pool shared by every device of this
   /// sampler (and reused across runs/batches). Null while serial.
   std::shared_ptr<sim::ThreadPool> pool_;

@@ -209,7 +209,8 @@ ChainContext::Slot& ChainContext::begin_task(std::uint32_t kernel,
 
 std::vector<Device::PipelinedKernel> Device::execute_pipelined(
     std::uint32_t num_kernels, std::uint64_t num_chains,
-    const ChainBody& body, CancelToken cancel) {
+    const ChainBody& body, CancelToken cancel,
+    std::uint64_t expected_tasks) {
   // Chain contexts come from the device-lifetime pool: residency-looped
   // and batch-streamed executions reuse the same slot vectors instead of
   // allocating num_chains contexts per launch.
@@ -226,7 +227,8 @@ std::vector<Device::PipelinedKernel> Device::execute_pipelined(
     if (cancel.valid() && cancel.cancelled()) return;
     body(c, chains[c], worker);
   };
-  if (pool == nullptr || pool->num_threads() <= 1 || num_chains <= 1) {
+  if (pool == nullptr || num_chains <= 1 ||
+      !pool->worth_fanning_out(expected_tasks)) {
     const std::uint32_t worker = pool == nullptr ? 0 : pool->current_worker();
     for (std::uint64_t c = 0; c < num_chains; ++c) run_chain(c, worker);
   } else {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -228,10 +229,14 @@ class Device {
   /// callers only pass an armed token when the whole execution's output
   /// will be discarded; chains that must stop *deterministically* poll
   /// their own per-instance token inside the body instead.
-  std::vector<PipelinedKernel> execute_pipelined(std::uint32_t num_kernels,
-                                                 std::uint64_t num_chains,
-                                                 const ChainBody& body,
-                                                 CancelToken cancel = {});
+  ///
+  /// `expected_tasks` estimates the warp-tasks all chains issue together;
+  /// below ThreadPool::kMinFanOutTasks the chains run inline on the
+  /// calling thread (the default, no estimate, always fans out).
+  std::vector<PipelinedKernel> execute_pipelined(
+      std::uint32_t num_kernels, std::uint64_t num_chains,
+      const ChainBody& body, CancelToken cancel = {},
+      std::uint64_t expected_tasks = std::numeric_limits<std::uint64_t>::max());
 
   /// Records one fused kernel of a pipelined execution on `stream`.
   const KernelRecord& record_pipelined(std::string name, Stream& stream,

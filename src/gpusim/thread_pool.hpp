@@ -79,6 +79,19 @@ class ThreadPool {
   /// Total execution width, including the calling thread.
   std::uint32_t num_threads() const noexcept { return num_threads_; }
 
+  /// Smallest batch, in simulated warp-tasks (about one walker step
+  /// each), worth spreading over the pool. Waking workers and joining
+  /// them costs tens of microseconds of host time, more than a few
+  /// hundred table-served walk steps; below this a batch finishes sooner,
+  /// and without cross-thread hand-offs, on the calling thread.
+  static constexpr std::uint64_t kMinFanOutTasks = 256;
+
+  /// Whether a batch of about `tasks` warp-tasks should fan out (see
+  /// kMinFanOutTasks). Results never depend on the answer.
+  bool worth_fanning_out(std::uint64_t tasks) const noexcept {
+    return num_threads_ > 1 && tasks >= kMinFanOutTasks;
+  }
+
   /// Exclusive upper bound of worker identities passed to tasks:
   /// `num_threads() + max_external_threads - 1` (external slot 0 reuses
   /// identity 0; every further slot extends the range). Per-worker

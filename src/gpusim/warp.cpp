@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "util/prefix_sum.hpp"
-
 namespace csaw::sim {
 
 void WarpContext::charge_diverged_rounds(
@@ -25,13 +23,6 @@ bool WarpContext::atomic_test_and_set(AtomicBitmap& bitmap, std::size_t i) {
   // 1 byte read-modify-write.
   stats_->global_bytes += 2;
   return bitmap.test_and_set(i);
-}
-
-void WarpContext::scan_inclusive(std::span<float> data) {
-  const int rounds = csaw::kogge_stone_scan(data, kLanes);
-  stats_->lockstep_rounds += static_cast<std::uint64_t>(rounds);
-  // The warp streams the bias array in and the prefix array out.
-  stats_->global_bytes += 2 * data.size() * sizeof(float);
 }
 
 void WarpContext::charge_binary_search(std::size_t n,

@@ -25,6 +25,8 @@ namespace csaw::sim {
 class WarpContext {
  public:
   static constexpr std::uint32_t kLanes = 32;
+  /// Lock-step rounds of one 32-lane Kogge-Stone block plus its carry add.
+  static constexpr std::uint64_t kScanRoundsPerBlock = 6;
 
   explicit WarpContext(KernelStats& stats) noexcept
       : stats_(&stats), rounds_at_start_(stats.lockstep_rounds) {
@@ -79,9 +81,16 @@ class WarpContext {
     stats_->sampled_vertices += n;
   }
 
-  /// Warp-level inclusive prefix sum (Kogge-Stone over 32-lane chunks),
-  /// charging scan rounds and the traffic to read/write the array.
-  void scan_inclusive(std::span<float> data);
+  /// Charges a warp-level inclusive prefix sum over n values: Kogge-Stone
+  /// over 32-lane blocks (log2(32) = 5 rounds each, plus one round adding
+  /// the carry of the preceding blocks) and the traffic to stream the
+  /// array in and the prefix array out. Closed form of what
+  /// csaw::kogge_stone_scan executes (pinned by warp_test.cpp).
+  void charge_scan(std::size_t n) noexcept {
+    stats_->lockstep_rounds +=
+        kScanRoundsPerBlock * ((n + kLanes - 1) / kLanes);
+    stats_->global_bytes += 2 * n * sizeof(float);
+  }
 
   /// Per-lane binary search cost over a CTPS of length `n` for
   /// `active_lanes` lanes (lock-step: everyone pays ceil(log2 n) rounds).

@@ -21,6 +21,12 @@ CsrGraph::CsrGraph(std::vector<EdgeIndex> row_ptr,
         std::is_sorted(col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[v]),
                        col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[v + 1])),
         "adjacency of vertex " << v << " is not sorted");
+    // Rows are sorted, so the last entry bounds the whole row.
+    CSAW_CHECK_MSG(row_ptr_[v] == row_ptr_[v + 1] ||
+                       col_idx_[row_ptr_[v + 1] - 1] < num_vertices(),
+                   "adjacency of vertex " << v << " names vertex "
+                       << col_idx_[row_ptr_[v + 1] - 1] << " of only "
+                       << num_vertices());
   }
 }
 

@@ -8,51 +8,32 @@ namespace csaw {
 
 GraphPartition::GraphPartition(const CsrGraph& graph, VertexId first,
                                VertexId last, std::uint32_t id)
-    : id_(id), first_(first), last_(last) {
+    : graph_(&graph), id_(id), first_(first), last_(last), num_edges_(0) {
   CSAW_CHECK(first <= last);
   CSAW_CHECK(last <= graph.num_vertices());
-  row_ptr_.reserve(static_cast<std::size_t>(last - first) + 1);
-  row_ptr_.push_back(0);
-  const EdgeIndex base =
-      first < graph.num_vertices() ? graph.edge_begin(first) : 0;
-  for (VertexId v = first; v < last; ++v) {
-    row_ptr_.push_back(graph.edge_begin(v) + graph.degree(v) - base);
-  }
-  const auto cols = graph.col_idx();
-  col_idx_.assign(cols.begin() + static_cast<std::ptrdiff_t>(base),
-                  cols.begin() + static_cast<std::ptrdiff_t>(base + num_edges()));
-  if (graph.has_weights()) {
-    const auto w = graph.weights();
-    weights_.assign(w.begin() + static_cast<std::ptrdiff_t>(base),
-                    w.begin() + static_cast<std::ptrdiff_t>(base + num_edges()));
+  if (first < last) {
+    num_edges_ = graph.row_ptr()[last] - graph.row_ptr()[first];
   }
 }
 
 EdgeIndex GraphPartition::degree(VertexId v) const {
   CSAW_CHECK_MSG(owns(v), "vertex " << v << " not in partition " << id_);
-  const VertexId local = v - first_;
-  return row_ptr_[local + 1] - row_ptr_[local];
+  return graph_->degree(v);
 }
 
 std::span<const VertexId> GraphPartition::neighbors(VertexId v) const {
   CSAW_CHECK_MSG(owns(v), "vertex " << v << " not in partition " << id_);
-  const VertexId local = v - first_;
-  return {col_idx_.data() + row_ptr_[local],
-          static_cast<std::size_t>(row_ptr_[local + 1] - row_ptr_[local])};
+  return graph_->neighbors(v);
 }
 
 std::span<const float> GraphPartition::edge_weights(VertexId v) const {
   CSAW_CHECK_MSG(owns(v), "vertex " << v << " not in partition " << id_);
-  if (weights_.empty()) return {};
-  const VertexId local = v - first_;
-  return {weights_.data() + row_ptr_[local],
-          static_cast<std::size_t>(row_ptr_[local + 1] - row_ptr_[local])};
+  return graph_->edge_weights(v);
 }
 
 float GraphPartition::edge_weight(VertexId v, EdgeIndex k) const {
-  CSAW_CHECK(k < degree(v));
-  if (weights_.empty()) return 1.0f;
-  return weights_[row_ptr_[v - first_] + k];
+  CSAW_CHECK_MSG(owns(v), "vertex " << v << " not in partition " << id_);
+  return graph_->edge_weight(v, k);
 }
 
 bool GraphPartition::has_edge(VertexId v, VertexId u) const {
@@ -61,8 +42,9 @@ bool GraphPartition::has_edge(VertexId v, VertexId u) const {
 }
 
 std::uint64_t GraphPartition::bytes() const noexcept {
-  return row_ptr_.size() * sizeof(EdgeIndex) +
-         col_idx_.size() * sizeof(VertexId) + weights_.size() * sizeof(float);
+  const std::uint64_t weights = graph_->has_weights() ? num_edges_ : 0;
+  return (std::uint64_t{num_vertices()} + 1) * sizeof(EdgeIndex) +
+         num_edges_ * sizeof(VertexId) + weights * sizeof(float);
 }
 
 RangePartitioner::RangePartitioner(const CsrGraph& graph,

@@ -12,6 +12,10 @@ namespace csaw {
 /// neighbor list (transition probabilities need every edge of a vertex),
 /// keep ranges contiguous and equal so partition lookup is constant time,
 /// and skip topology-aware preprocessing entirely.
+///
+/// The partition is a view over the host CSR (which must outlive it): a
+/// simulated device copy needs only its size, bytes(), so the host never
+/// duplicates the adjacency.
 class GraphPartition {
  public:
   GraphPartition(const CsrGraph& graph, VertexId first, VertexId last,
@@ -22,9 +26,7 @@ class GraphPartition {
   /// One past the last owned vertex.
   VertexId end_vertex() const noexcept { return last_; }
   VertexId num_vertices() const noexcept { return last_ - first_; }
-  EdgeIndex num_edges() const noexcept {
-    return row_ptr_.empty() ? 0 : row_ptr_.back();
-  }
+  EdgeIndex num_edges() const noexcept { return num_edges_; }
 
   bool owns(VertexId v) const noexcept { return v >= first_ && v < last_; }
 
@@ -35,17 +37,17 @@ class GraphPartition {
   float edge_weight(VertexId v, EdgeIndex k) const;
   bool has_edge(VertexId v, VertexId u) const;
 
-  /// Size of this partition's arrays — the payload of one host-to-device
+  /// Size of this partition's CSR slice (its own rebased row_ptr, its
+  /// adjacency and weights) — the payload of one host-to-device
   /// transfer.
   std::uint64_t bytes() const noexcept;
 
  private:
+  const CsrGraph* graph_;
   std::uint32_t id_;
   VertexId first_;
   VertexId last_;
-  std::vector<EdgeIndex> row_ptr_;  // local, rebased to 0
-  std::vector<VertexId> col_idx_;   // global ids
-  std::vector<float> weights_;
+  EdgeIndex num_edges_;
 };
 
 /// Partitions a graph into `num_parts` contiguous equal vertex ranges.

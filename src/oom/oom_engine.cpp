@@ -44,7 +44,11 @@ OomEngine::OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
         return c;
       }()),
       parts_(std::move(parts)) {
+  policy_.validate();
   CSAW_CHECK(parts_ != nullptr);
+  CSAW_CHECK_MSG(config.engine.static_ctps == nullptr ||
+                     &config.engine.static_ctps->graph() == graph_,
+                 "static CTPS table built over a different graph");
   CSAW_CHECK_MSG(&parts_->whole() == graph_,
                  "shared PartitionedGraph belongs to a different graph");
   CSAW_CHECK_MSG(parts_->num_parts() == config.num_partitions,
@@ -327,6 +331,7 @@ void OomEngine::run_residency_pipelined(sim::Device& device,
   const bool may_cancel = config_.engine.may_cancel();
   std::vector<std::uint32_t> chain_instances;
   std::vector<std::vector<std::vector<FrontierEntry>>> pending;
+  std::uint64_t entries = 0;  // each is at least one warp-task this round
   for (std::size_t i = 0; i < chosen; ++i) {
     for (const FrontierEntry& e : queues_[plan.partitions[i]].drain()) {
       // Streaming bookkeeping first: a drained entry leaves the queues
@@ -342,6 +347,7 @@ void OomEngine::run_residency_pipelined(sim::Device& device,
         pending.emplace_back(chosen);
       }
       pending[chain_of_[local]][i].push_back(e);
+      ++entries;
     }
   }
   std::vector<std::vector<FrontierEntry>> routed_out(chain_instances.size());
@@ -416,7 +422,7 @@ void OomEngine::run_residency_pipelined(sim::Device& device,
           }
         }
       },
-      config_.engine.cancel);
+      config_.engine.cancel, entries);
 
   // Record one fused kernel per resident partition on the stream (and at
   // the SM fraction) its waves would have used.
@@ -558,6 +564,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
     // consumed within the same round.
     std::vector<std::uint32_t> chain_instances;
     std::vector<std::vector<std::vector<FrontierEntry>>> chain_pending;
+    std::uint64_t entries = 0;  // each is at least one warp-task this round
     for (std::size_t i = 0; i < chosen_count; ++i) {
       for (const FrontierEntry& e : queues_[chosen[i]].drain()) {
         // Streaming bookkeeping first: the entry leaves the queues either
@@ -573,6 +580,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
           chain_pending.emplace_back(chosen_count);
         }
         chain_pending[chain_of_[e.local]][i].push_back(e);
+        ++entries;
       }
     }
     const std::size_t num_chains = chain_instances.size();
@@ -661,7 +669,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
                 {{"routed_out", std::to_string(out.size())}});
           }
         },
-        config_.engine.cancel);
+        config_.engine.cancel, entries);
 
     // --- Cross-residency timing, under the same conventions as the
     // legacy run_residency_pipelined: one fused kernel window per
@@ -823,7 +831,7 @@ void OomEngine::process_entry(std::uint32_t p, const FrontierEntry& entry,
                               entry.slot};
   FrontierResult result = process_frontier_vertex(
       view, policy_, spec_, rng_, scratch.neighbor_selector, inst, item, warp,
-      scratch.bias_scratch);
+      scratch.bias_scratch, config_.engine.static_ctps.get());
   for (const Edge& e : result.sampled) samples_->add(local, e);
 
   if (entry.depth + 1 >= spec_.depth) return;  // walk/tree complete

@@ -81,9 +81,9 @@ class OomEngine {
   OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
             OomConfig config);
 
-  /// Shares a prebuilt partitioning instead of building one (an O(V+E)
-  /// pass): batched serving through csaw::Sampler partitions once and
-  /// streams every batch's engine over it. `parts` must partition `graph`
+  /// Shares a prebuilt partitioning instead of building one: batched
+  /// serving through csaw::Sampler partitions once and streams every
+  /// batch's engine over it. `parts` must partition `graph`
   /// into config.num_partitions ranges (checked).
   OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
             OomConfig config, std::shared_ptr<const PartitionedGraph> parts);

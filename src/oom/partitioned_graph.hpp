@@ -8,8 +8,8 @@
 namespace csaw {
 
 /// GraphView over one resident partition (paper §V-A). Neighbor lists are
-/// served from the partition's arrays — touching a non-owned vertex's
-/// adjacency is a programming error (it is not on the device).
+/// served only for the partition's own vertices — touching a non-owned
+/// vertex's adjacency is a programming error (it is not on the device).
 ///
 /// Degrees of *any* vertex remain available: C-SAW's biases routinely need
 /// degree(u) for neighbors owned by other partitions, so the (compact)
@@ -30,6 +30,9 @@ class PartitionView final : public GraphView {
   }
   float edge_weight(VertexId v, EdgeIndex k) const override {
     return part_->edge_weight(v, k);
+  }
+  std::span<const float> edge_weights(VertexId v) const override {
+    return part_->edge_weights(v);  // CSAW_CHECKs ownership
   }
   bool has_edge(VertexId v, VertexId u) const override {
     if (part_->owns(v)) return part_->has_edge(v, u);

@@ -16,10 +16,23 @@ class Ctps {
  public:
   Ctps() = default;
 
-  /// Builds the CTPS from `biases` with the warp-level Kogge-Stone scan,
-  /// charging scan rounds and normalization to `warp` when provided.
-  /// Biases must be non-negative with a positive total.
+  /// Builds the CTPS from `biases`, charging the warp-level Kogge-Stone
+  /// scan and normalization to `warp` when provided. Biases must be
+  /// non-negative with a positive total.
   void build(std::span<const float> biases, sim::WarpContext* warp = nullptr);
+
+  /// The float math of build() into caller storage: writes the n+1
+  /// normalized prefix values of `biases` to `f` (sized n+1) and returns
+  /// the number of strictly positive biases. Same CHECKs as build().
+  static std::size_t fill(std::span<const float> biases, std::span<float> f);
+
+  /// What build() charges `warp` for n candidates: the Kogge-Stone scan
+  /// plus one normalizing round per 32 lanes (Fig. 5 lines 6-7).
+  static void charge_build(std::size_t n, sim::WarpContext& warp);
+
+  /// locate() over any CTPS array `f` (n+1 values, as fill() writes),
+  /// without charging.
+  static std::size_t locate(std::span<const float> f, double r);
 
   std::size_t size() const noexcept {
     return f_.empty() ? 0 : f_.size() - 1;

@@ -24,7 +24,7 @@ std::vector<std::uint32_t> ItsSelector::select(
 
   if (config_.with_replacement) {
     out.reserve(k);
-    select_with_replacement(k, rng, coords, warp, out);
+    select_with_replacement(ctps_.f(), k, rng, coords, warp, out);
     return out;
   }
 
@@ -51,7 +51,23 @@ std::vector<std::uint32_t> ItsSelector::select(
   return out;
 }
 
-void ItsSelector::select_with_replacement(std::uint32_t k,
+std::vector<std::uint32_t> ItsSelector::select_prebuilt(
+    std::span<const float> f, std::uint32_t k, const CounterStream& rng,
+    SelectCoords coords, sim::WarpContext& warp) {
+  std::vector<std::uint32_t> out;
+  if (k == 0 || f.size() < 2) return out;
+  const std::size_t n = f.size() - 1;
+  // The same charges select() makes before its draws: stream the biases
+  // in, then scan and normalize them (Fig. 5 lines 6-7).
+  warp.charge_global(n * sizeof(float));
+  Ctps::charge_build(n, warp);
+  out.reserve(k);
+  select_with_replacement(f, k, rng, coords, warp, out);
+  return out;
+}
+
+void ItsSelector::select_with_replacement(std::span<const float> f,
+                                          std::uint32_t k,
                                           const CounterStream& rng,
                                           SelectCoords coords,
                                           sim::WarpContext& warp,
@@ -62,12 +78,12 @@ void ItsSelector::select_with_replacement(std::uint32_t k,
     const std::uint32_t wave =
         std::min(sim::WarpContext::kLanes, k - base);
     warp.charge_rounds(1);  // RNG generation
-    warp.charge_binary_search(ctps_.f().size(), wave);
+    warp.charge_binary_search(f.size(), wave);
     for (std::uint32_t lane = 0; lane < wave; ++lane) {
       const double r =
           rng.uniform(coords.instance, coords.depth,
                       coords.slot_base + base + lane, /*attempt=*/0);
-      out.push_back(static_cast<std::uint32_t>(ctps_.locate(r)));
+      out.push_back(static_cast<std::uint32_t>(Ctps::locate(f, r)));
       warp.count_select_iterations(1);
     }
   }

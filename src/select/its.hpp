@@ -89,6 +89,17 @@ class ItsSelector {
       SelectCoords coords, sim::WarpContext& warp,
       std::span<const std::uint32_t> pre_selected = {});
 
+  /// With-replacement select over a prebuilt CTPS `f` (n+1 values, as
+  /// Ctps::fill writes for the same biases): exactly `k` draws, identical
+  /// results and identical charges to select() on those biases with
+  /// SelectConfig::with_replacement set — the warp still pays the bias
+  /// read, scan and normalization the GPU kernel performs per step.
+  std::vector<std::uint32_t> select_prebuilt(std::span<const float> f,
+                                             std::uint32_t k,
+                                             const CounterStream& rng,
+                                             SelectCoords coords,
+                                             sim::WarpContext& warp);
+
  private:
   struct Lane {
     std::uint32_t slot = 0;
@@ -97,9 +108,12 @@ class ItsSelector {
     std::uint32_t result = 0;
   };
 
-  void select_with_replacement(std::uint32_t k, const CounterStream& rng,
-                               SelectCoords coords, sim::WarpContext& warp,
-                               std::vector<std::uint32_t>& out);
+  static void select_with_replacement(std::span<const float> f,
+                                      std::uint32_t k,
+                                      const CounterStream& rng,
+                                      SelectCoords coords,
+                                      sim::WarpContext& warp,
+                                      std::vector<std::uint32_t>& out);
   void select_repeated_or_bipartite(std::uint32_t k, const CounterStream& rng,
                                     SelectCoords coords,
                                     sim::WarpContext& warp,

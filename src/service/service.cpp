@@ -1070,6 +1070,25 @@ void Service::run_batch(std::vector<Pending> batch) {
     const SampleRequest& head = batch.front().request;
     const AlgorithmSetup setup = make_algorithm(
         head.algorithm, head.depth_or_length, head.neighbor_size);
+    std::shared_ptr<StaticCtpsTable> static_ctps;
+    if (uses_static_ctps(setup.policy, setup.spec)) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        const auto& tables = graphs_.at(head.graph).static_ctps;
+        const auto it = tables.find(head.algorithm);
+        if (it != tables.end()) static_ctps = it->second;
+      }
+      if (static_ctps == nullptr) {
+        // First static-bias batch of this algorithm on this graph: build
+        // the (empty, lazily filled) table outside the lock and publish it.
+        static_ctps = std::make_shared<StaticCtpsTable>(
+            *graph, setup.policy.static_edge_bias);
+        std::lock_guard<std::mutex> lock(mu_);
+        static_ctps = graphs_.at(head.graph)
+                          .static_ctps.try_emplace(head.algorithm, static_ctps)
+                          .first->second;
+      }
+    }
     // Sharded routing (ServiceConfig::shards > 1): walk-shaped batches
     // on in-memory graphs with single-seed instances run through the
     // ShardRouter; anything else silently takes the ordinary path.
@@ -1107,6 +1126,7 @@ void Service::run_batch(std::vector<Pending> batch) {
       shard_options.faults = config_.shard_faults;
       ShardRouter router(*graph, setup, shard_options, shard_map);
       if (pool_ != nullptr) router.set_executor(pool_);
+      router.set_static_ctps(static_ctps);
       whole = router.run_tagged(seeds, tags, control);
     } else {
       // Demand-cache routing needs chain-granular execution and a single
@@ -1119,6 +1139,7 @@ void Service::run_batch(std::vector<Pending> batch) {
       batch_options.oom_demand_cache = demand_cache;
       Sampler sampler(*graph, setup, batch_options);
       if (pool_ != nullptr) sampler.set_executor(pool_);
+      sampler.set_static_ctps(static_ctps);
       if (sampler.decision().out_of_memory) {
         if (parts == nullptr) {
           // First paged batch on this graph: build the shared partitioning

@@ -334,6 +334,11 @@ class Service {
     /// published under mu_; per-graph batch serialization makes the
     /// lazy build race-free.
     std::shared_ptr<const ShardPartitionMap> shard_map;
+    /// Per-vertex CTPS tables of this graph's static-bias walk
+    /// algorithms, one per AlgorithmId, so rows stay warm across batches.
+    /// Built by the first such batch outside the lock and published under
+    /// mu_, like shard_map; the tables synchronize their own rows.
+    std::map<AlgorithmId, std::shared_ptr<StaticCtpsTable>> static_ctps;
   };
 
   /// One admitted request waiting for (or riding in) a batch.

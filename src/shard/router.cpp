@@ -58,6 +58,7 @@ ShardRouter::ShardRouter(const CsrGraph& graph, AlgorithmSetup setup,
       setup_(std::move(setup)),
       options_(std::move(options)),
       map_(std::move(map)) {
+  setup_.policy.validate();
   CSAW_CHECK(options_.shards >= 1);
   CSAW_CHECK(options_.envelope_capacity >= 1);
   CSAW_CHECK(options_.queue_capacity >= 1);
@@ -79,6 +80,12 @@ ShardRouter::ShardRouter(const CsrGraph& graph, AlgorithmSetup setup,
 void ShardRouter::set_executor(std::shared_ptr<sim::ThreadPool> pool) {
   pool_ = std::move(pool);
   pool_resolved_ = true;
+}
+
+void ShardRouter::set_static_ctps(std::shared_ptr<StaticCtpsTable> table) {
+  CSAW_CHECK_MSG(table == nullptr || &table->graph() == graph_,
+                 "static CTPS table built over a different graph");
+  static_ctps_ = std::move(table);
 }
 
 sim::ThreadPool* ShardRouter::ensure_pool() {
@@ -106,6 +113,10 @@ RunResult ShardRouter::run_tagged(
   const CounterStream rng(options_.seed);
   const sim::CostModel cost(options_.device_params);
   telemetry::TraceRecorder* trace = control.trace;
+  if (static_ctps_ == nullptr && uses_static_ctps(policy, spec)) {
+    static_ctps_ =
+        std::make_shared<StaticCtpsTable>(*graph_, policy.static_edge_bias);
+  }
 
   RunResult result;
   result.mode = ExecutionMode::kInMemory;
@@ -204,7 +215,7 @@ RunResult ShardRouter::run_tagged(
           step = process_frontier_vertex(
               view, policy, spec, rng, w.selector, w.scratch,
               FrontierWorkItem{walker.vertex, walker.tag, walker.depth, 0},
-              warp, w.bias_scratch);
+              warp, w.bias_scratch, static_ctps_.get());
         }
         ++w.round_steps;
         for (const Edge& e : step.sampled) {
@@ -280,23 +291,25 @@ RunResult ShardRouter::run_tagged(
     if (control.cancel.valid() && control.cancel.cancelled()) {
       break;  // whole-run cancel: the run's output is discarded
     }
-    bool any_residents = false;
+    std::uint64_t residents = 0;
     bool any_outbox = false;
     for (std::uint32_t s = 0; s < num_shards; ++s) {
-      any_residents = any_residents || !workers[s].residents.empty();
+      residents += workers[s].residents.size();
       any_outbox = any_outbox || !outbox[s].empty();
     }
-    if (!any_residents && !any_outbox) break;
+    if (residents == 0 && !any_outbox) break;
 
     // --- Compute superstep: shards step in parallel (disjoint state,
     // disjoint result rows); the round costs the slowest shard.
     double round_compute = 0.0;
-    if (any_residents) {
+    if (residents > 0) {
       for (auto& w : workers) {
         w.round_stats = {};
         w.round_steps = 0;
       }
-      if (pool) {
+      // Each resident takes at least one step; a round of a few dozen
+      // walkers runs faster on this thread than handed to the pool.
+      if (pool != nullptr && pool->worth_fanning_out(residents)) {
         pool->parallel_for(num_shards, compute_shard);
       } else {
         for (std::uint32_t s = 0; s < num_shards; ++s) compute_shard(s, 0);

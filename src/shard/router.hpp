@@ -101,6 +101,12 @@ class ShardRouter {
   /// pool's width wins over ShardOptions::num_threads.
   void set_executor(std::shared_ptr<sim::ThreadPool> pool);
 
+  /// Shares a per-vertex CTPS table over this router's graph and the
+  /// setup's static EDGEBIAS (the service keeps one per graph and
+  /// algorithm). Without one, the first run creates a private table when
+  /// uses_static_ctps holds for the setup.
+  void set_static_ctps(std::shared_ptr<StaticCtpsTable> table);
+
   /// Runs one walker per seeds entry (each entry must hold exactly one
   /// seed vertex) under global instance tags `tags` (strictly
   /// increasing, one per entry — the service's coalesced-batch ids).
@@ -122,6 +128,7 @@ class ShardRouter {
   std::shared_ptr<const ShardPartitionMap> map_;
   std::shared_ptr<sim::ThreadPool> pool_;
   bool pool_resolved_ = false;
+  std::shared_ptr<StaticCtpsTable> static_ctps_;
 };
 
 }  // namespace csaw

@@ -15,6 +15,7 @@
 #include "algorithms/random_walks.hpp"
 #include "core/engine.hpp"
 #include "core/sampler.hpp"
+#include "gpusim/thread_pool.hpp"
 #include "graph/generators.hpp"
 
 namespace csaw {
@@ -117,8 +118,16 @@ TEST(ParallelEquivalence, OutOfMemoryNeighborSampling) {
 
 TEST(ParallelEquivalence, OutOfMemoryRandomWalk) {
   const CsrGraph g = generate_rmat(1024, 8192, 37);
-  expect_mode_equivalence(ExecutionMode::kOutOfMemory, biased_random_walk(12),
-                          g, 64, "out-of-memory random walk");
+  // 64 walks keep every residency round on the calling thread; enough
+  // walks fan the early rounds out over the pool.
+  const auto many =
+      static_cast<std::uint32_t>(2 * sim::ThreadPool::kMinFanOutTasks);
+  for (const std::uint32_t walks : {64u, many}) {
+    expect_mode_equivalence(ExecutionMode::kOutOfMemory,
+                            biased_random_walk(12), g, walks,
+                            "out-of-memory random walk, " +
+                                std::to_string(walks) + " walks");
+  }
 }
 
 TEST(ParallelEquivalence, MultiDeviceNeighborSampling) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/prefix_sum.hpp"
 
 namespace csaw::sim {
@@ -74,18 +76,24 @@ TEST(Warp, StridedBitmapAvoidsConflictContiguousHits) {
   EXPECT_EQ(ss.atomic_conflicts, 0u);  // spread across words
 }
 
-TEST(Warp, ScanMatchesSequentialAndCharges) {
-  KernelStats stats;
-  WarpContext warp(stats);
-  std::vector<float> data = {1, 2, 3, 4, 5};
-  std::vector<float> expected(data.size());
-  csaw::inclusive_scan_seq(data, expected);
-  warp.scan_inclusive(data);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_FLOAT_EQ(data[i], expected[i]);
+TEST(Warp, ChargeScanMatchesKoggeStoneAccounting) {
+  // charge_scan(n) is the closed form of running csaw::kogge_stone_scan
+  // over n values and charging its rounds plus the array's read and
+  // write traffic — the accounting CTPS construction used to pay for
+  // with a real (discarded) scan.
+  for (std::size_t n = 0; n <= 4096; ++n) {
+    std::vector<float> data(n, 1.0f);
+    const auto rounds = static_cast<std::uint64_t>(
+        csaw::kogge_stone_scan(data, WarpContext::kLanes));
+    KernelStats stats;
+    {
+      WarpContext warp(stats);
+      warp.charge_scan(n);
+    }
+    ASSERT_EQ(stats.lockstep_rounds, rounds) << "n = " << n;
+    ASSERT_EQ(stats.global_bytes, 2 * n * sizeof(float)) << "n = " << n;
+    ASSERT_EQ(stats.max_warp_rounds, rounds) << "n = " << n;
   }
-  EXPECT_GT(stats.lockstep_rounds, 0u);
-  EXPECT_EQ(stats.global_bytes, 2 * 5 * sizeof(float));
 }
 
 TEST(Warp, BinarySearchChargesLockStepRounds) {

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -89,6 +90,33 @@ TEST_F(IoTest, BinaryRejectsOversizedCount) {
     os.write(reinterpret_cast<const char*>(payload), sizeof(payload));
   }
   EXPECT_THROW(load_binary(path), CheckError);
+}
+
+TEST_F(IoTest, BinaryRejectsOutOfRangeColumn) {
+  // A well-formed file whose adjacency names a vertex past the end must
+  // fail typed at load, not index out of bounds on a later visit.
+  const auto path = temp_path("bad_column.csr");
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write("CSAWCSR1", 8);
+    const auto write = [&os](const auto& values) {
+      const std::uint64_t count = values.size();
+      os.write(reinterpret_cast<const char*>(&count), sizeof(count));
+      os.write(reinterpret_cast<const char*>(values.data()),
+               static_cast<std::streamsize>(count * sizeof(values[0])));
+    };
+    write(std::vector<EdgeIndex>{0, 1, 2});
+    write(std::vector<VertexId>{1, 7});  // 2 vertices; 7 is out of range
+    write(std::vector<float>{});
+  }
+  EXPECT_THROW(load_binary(path), CheckError);
+}
+
+TEST(CsrValidation, ConstructorRejectsOutOfRangeColumn) {
+  EXPECT_THROW(CsrGraph({0, 1, 2}, {1, 2}, {}), CheckError);
+  EXPECT_THROW(CsrGraph({0, 0, 2}, {0, 1000}, {}), CheckError);
+  // The last vertex id and empty rows are fine.
+  EXPECT_NO_THROW(CsrGraph({0, 1, 1, 3}, {2, 0, 2}, {}));
 }
 
 TEST_F(IoTest, MissingFileThrows) {

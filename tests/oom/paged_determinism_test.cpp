@@ -14,6 +14,7 @@
 #include "algorithms/node2vec.hpp"
 #include "algorithms/random_walks.hpp"
 #include "core/sampler.hpp"
+#include "gpusim/thread_pool.hpp"
 #include "graph/generators.hpp"
 
 namespace csaw {
@@ -69,24 +70,31 @@ TEST_P(PagedCapacities, WalkBytesMatchLegacyAtEveryThreadCount) {
   // samples may not depend on residency schedule, eviction pressure
   // (capacity 1 = thrash, 8 = everything resident) or thread count.
   const auto setup = biased_random_walk(/*length=*/12);
-  const RunResult legacy = run_walk(setup, paged_options(false, 2, 1));
-  ASSERT_TRUE(legacy.oom.has_value());
-
   const std::uint32_t capacity = GetParam();
-  double first_seconds = -1.0;
-  for (const std::uint32_t threads : {1u, 2u, 7u}) {
-    const RunResult cached =
-        run_walk(setup, paged_options(true, capacity, threads));
-    ASSERT_TRUE(cached.oom.has_value());
-    expect_same_samples(cached, legacy, "cached vs legacy");
-    // The simulated schedule is a pure function of the run, not of host
-    // parallelism: byte-equal timing across widths.
-    if (first_seconds < 0.0) {
-      first_seconds = cached.sim_seconds;
-    } else {
-      EXPECT_EQ(cached.sim_seconds, first_seconds)
-          << "thread count leaked into the simulated schedule at capacity "
-          << capacity << ", " << threads << " threads";
+  // 48 walks keep every residency round on the calling thread; enough
+  // walks fan the early rounds out over the pool.
+  const auto many =
+      static_cast<std::uint32_t>(2 * sim::ThreadPool::kMinFanOutTasks);
+  for (const std::uint32_t walks : {48u, many}) {
+    const RunResult legacy = run_walk(setup, paged_options(false, 2, 1), walks);
+    ASSERT_TRUE(legacy.oom.has_value());
+
+    double first_seconds = -1.0;
+    for (const std::uint32_t threads : {1u, 2u, 7u}) {
+      const RunResult cached =
+          run_walk(setup, paged_options(true, capacity, threads), walks);
+      ASSERT_TRUE(cached.oom.has_value());
+      expect_same_samples(cached, legacy, "cached vs legacy");
+      // The simulated schedule is a pure function of the run, not of host
+      // parallelism: byte-equal timing across widths.
+      if (first_seconds < 0.0) {
+        first_seconds = cached.sim_seconds;
+      } else {
+        EXPECT_EQ(cached.sim_seconds, first_seconds)
+            << "thread count leaked into the simulated schedule at capacity "
+            << capacity << ", " << threads << " threads, " << walks
+            << " walks";
+      }
     }
   }
 }

@@ -100,5 +100,24 @@ TEST(Ctps, ChargesWarpForScanAndSearch) {
   EXPECT_GT(stats.lockstep_rounds, rounds_before);
 }
 
+TEST(Ctps, FillWritesTheBuildArrayBitForBit) {
+  const std::vector<float> biases = {0.3f, 0.0f, 7.25f, 1e-6f, 2.0f, 0.1f};
+  Ctps ctps;
+  ctps.build(biases);
+  std::vector<float> f(biases.size() + 1);
+  EXPECT_EQ(Ctps::fill(biases, f), ctps.positive_candidates());
+  ASSERT_EQ(f.size(), ctps.f().size());
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_EQ(f[i], ctps.f()[i]) << i;  // bitwise, not approximately
+  }
+  for (double r = 0.0; r < 1.0; r += 0.01) {
+    EXPECT_EQ(Ctps::locate(f, r), ctps.locate(r)) << r;
+  }
+  std::vector<float> short_f(biases.size());
+  EXPECT_THROW(Ctps::fill(biases, short_f), CheckError);
+  std::vector<float> g(3);
+  EXPECT_THROW(Ctps::fill(std::vector<float>{1, -1}, g), CheckError);
+}
+
 }  // namespace
 }  // namespace csaw

@@ -186,6 +186,38 @@ TEST(ItsCounters, BipartiteNeedsFewerIterationsThanRepeated) {
   EXPECT_GE(bipartite, 1.0);
 }
 
+TEST(ItsPrebuilt, MatchesWithReplacementSelectAndCharges) {
+  // select_prebuilt over Ctps::fill's array is select() with replacement
+  // minus the host-side CTPS build: same draws, same warp charges.
+  SelectConfig config;
+  config.with_replacement = true;
+  const std::vector<float> biases = {5, 0, 3, 2, 8, 1, 1, 4, 0.5f, 9};
+  std::vector<float> f(biases.size() + 1);
+  Ctps::fill(biases, f);
+  ItsSelector selector(config);
+  CounterStream rng(77);
+  for (const std::uint32_t k : {1u, 3u, 32u, 70u}) {
+    sim::KernelStats built_stats, prebuilt_stats;
+    std::vector<std::uint32_t> built, prebuilt;
+    {
+      sim::WarpContext warp(built_stats);
+      built = selector.select(biases, k, rng, SelectCoords{k, 2, 9}, warp);
+    }
+    {
+      sim::WarpContext warp(prebuilt_stats);
+      prebuilt =
+          selector.select_prebuilt(f, k, rng, SelectCoords{k, 2, 9}, warp);
+    }
+    EXPECT_EQ(prebuilt, built) << "k = " << k;
+    EXPECT_EQ(prebuilt_stats.lockstep_rounds, built_stats.lockstep_rounds);
+    EXPECT_EQ(prebuilt_stats.global_bytes, built_stats.global_bytes);
+    EXPECT_EQ(prebuilt_stats.max_warp_rounds, built_stats.max_warp_rounds);
+    EXPECT_EQ(prebuilt_stats.select_iterations,
+              built_stats.select_iterations);
+    EXPECT_EQ(prebuilt_stats.sampled_vertices, built_stats.sampled_vertices);
+  }
+}
+
 TEST(ItsEdgeCases, KZeroOrEmptyBiases) {
   ItsSelector selector(SelectConfig{});
   CounterStream rng(1);

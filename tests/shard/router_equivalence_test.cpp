@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/sampler.hpp"
+#include "gpusim/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "shard/router.hpp"
 
@@ -102,37 +103,43 @@ TEST(ShardRouterEquivalence, ByteIdenticalAtEveryShardAndThreadCount) {
 
 TEST(ShardRouterEquivalence, SimulatedTimelineIndependentOfHostThreads) {
   const CsrGraph graph = test_graph();
-  const std::uint32_t kInstances = 10;
-  const auto seeds = expand_single_seeds(draw_seeds(graph, kInstances));
-  const std::vector<std::uint32_t> tags = draw_tags(kInstances);
   const AlgorithmSetup setup =
       make_algorithm(AlgorithmId::kDeepwalk, /*length=*/24);
 
-  for (const std::uint32_t shards : {2u, 3u}) {
-    ShardOptions base;
-    base.shards = shards;
-    base.num_threads = 1;
-    ShardRouter serial(graph, setup, base);
-    const RunResult want = serial.run_tagged(seeds, tags);
-    EXPECT_GT(want.shard->forwarded_walkers, 0u);
-    EXPECT_GT(want.shard->transfer_seconds, 0.0);
+  // A few walkers run every superstep on the calling thread; enough of
+  // them fan the early supersteps out over the pool.
+  const auto many =
+      static_cast<std::uint32_t>(2 * sim::ThreadPool::kMinFanOutTasks);
+  for (const std::uint32_t instances : {10u, many}) {
+    const auto seeds = expand_single_seeds(draw_seeds(graph, instances));
+    const std::vector<std::uint32_t> tags = draw_tags(instances);
+    for (const std::uint32_t shards : {2u, 3u}) {
+      ShardOptions base;
+      base.shards = shards;
+      base.num_threads = 1;
+      ShardRouter serial(graph, setup, base);
+      const RunResult want = serial.run_tagged(seeds, tags);
+      EXPECT_GT(want.shard->forwarded_walkers, 0u);
+      EXPECT_GT(want.shard->transfer_seconds, 0.0);
 
-    for (const std::uint32_t threads : {2u, 7u}) {
-      ShardOptions options = base;
-      options.num_threads = threads;
-      ShardRouter router(graph, setup, options);
-      const RunResult got = router.run_tagged(seeds, tags);
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads);
-      expect_same_samples(got.samples, want.samples, label);
-      // Host threading must never reach the simulated timeline.
-      EXPECT_EQ(got.sim_seconds, want.sim_seconds) << label;
-      EXPECT_EQ(got.shard->rounds, want.shard->rounds) << label;
-      EXPECT_EQ(got.shard->envelopes, want.shard->envelopes) << label;
-      EXPECT_EQ(got.shard->bytes_forwarded, want.shard->bytes_forwarded)
-          << label;
-      EXPECT_EQ(got.shard->steps_per_shard, want.shard->steps_per_shard)
-          << label;
+      for (const std::uint32_t threads : {2u, 7u}) {
+        ShardOptions options = base;
+        options.num_threads = threads;
+        ShardRouter router(graph, setup, options);
+        const RunResult got = router.run_tagged(seeds, tags);
+        const std::string label = "instances=" + std::to_string(instances) +
+                                  " shards=" + std::to_string(shards) +
+                                  " threads=" + std::to_string(threads);
+        expect_same_samples(got.samples, want.samples, label);
+        // Host threading must never reach the simulated timeline.
+        EXPECT_EQ(got.sim_seconds, want.sim_seconds) << label;
+        EXPECT_EQ(got.shard->rounds, want.shard->rounds) << label;
+        EXPECT_EQ(got.shard->envelopes, want.shard->envelopes) << label;
+        EXPECT_EQ(got.shard->bytes_forwarded, want.shard->bytes_forwarded)
+            << label;
+        EXPECT_EQ(got.shard->steps_per_shard, want.shard->steps_per_shard)
+            << label;
+      }
     }
   }
 }
