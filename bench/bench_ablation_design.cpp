@@ -67,12 +67,11 @@ std::vector<std::uint64_t> simulate(const SelectConfig& config,
   CounterStream rng(0xAB1A7E);
   sim::KernelStats stats;
   std::vector<std::uint64_t> counts(biases.size(), 0);
+  std::vector<std::uint32_t> picked;
   for (std::uint32_t i = 0; i < trials; ++i) {
     sim::WarpContext warp(stats);
-    for (auto idx :
-         selector.select(biases, k, rng, SelectCoords{i, 0, 0}, warp)) {
-      ++counts[idx];
-    }
+    selector.select(biases, k, rng, SelectCoords{i, 0, 0}, warp, picked);
+    for (const auto idx : picked) ++counts[idx];
   }
   if (avg_iterations != nullptr) {
     *avg_iterations = static_cast<double>(stats.select_iterations) /

@@ -63,10 +63,11 @@ void BM_ItsSelect(benchmark::State& state) {
   sim::KernelStats stats;
 
   std::uint32_t instance = 0;
+  std::vector<std::uint32_t> picked;
   for (auto _ : state) {
     sim::WarpContext warp(stats);
-    auto picked =
-        selector.select(biases, k, rng, SelectCoords{instance++, 0, 0}, warp);
+    selector.select(biases, k, rng, SelectCoords{instance++, 0, 0}, warp,
+                    picked);
     benchmark::DoNotOptimize(picked.data());
   }
   state.SetItemsProcessed(state.iterations() * k);

@@ -84,24 +84,37 @@ float weight_at(std::span<const float> weights, std::size_t e) {
 }  // namespace
 
 bool uses_static_ctps(const Policy& policy, const SamplingSpec& spec) {
-  return policy.static_edge_bias && spec.with_replacement &&
+  return !policy.edge_bias && spec.with_replacement &&
          !spec.filter_visited && !spec.sample_all_neighbors &&
          !spec.layer_mode;
 }
 
-FrontierResult process_frontier_vertex(
-    const GraphView& view, const Policy& policy, const SamplingSpec& spec,
-    const CounterStream& rng, ItsSelector& selector, InstanceState& instance,
-    const FrontierWorkItem& item, sim::WarpContext& warp,
-    std::vector<float>& bias_scratch, StaticCtpsTable* static_ctps) {
-  FrontierResult result;
+std::shared_ptr<StaticCtpsTable> make_static_ctps(const CsrGraph& graph,
+                                                  const Policy& policy,
+                                                  const SamplingSpec& spec) {
+  if (!uses_static_ctps(policy, spec)) return nullptr;
+  // No EDGEBIAS hook is the uniform bias Policy::eval_edge_bias returns.
+  StaticCtpsTable::Bias bias = policy.static_edge_bias;
+  if (!bias) bias = [](const GraphView&, const EdgeRef&) { return 1.0f; };
+  return std::make_shared<StaticCtpsTable>(graph, std::move(bias));
+}
+
+void process_frontier_vertex(const GraphView& view, const Policy& policy,
+                             const SamplingSpec& spec,
+                             const CounterStream& rng, InstanceState& instance,
+                             const FrontierWorkItem& item,
+                             sim::WarpContext& warp, WorkerScratch& ws,
+                             StaticCtpsTable* static_ctps) {
+  FrontierResult& result = ws.step;
+  result.sampled.clear();
+  result.next.clear();
 
   // GATHERNEIGHBORS (Fig. 2(b) line 5): one row_ptr pair plus the
   // adjacency list stream in from global memory.
   const EdgeIndex degree = view.degree(item.vertex);
   warp.charge_global(2 * sizeof(EdgeIndex) +
                      degree * sizeof(VertexId));
-  if (degree == 0) return result;
+  if (degree == 0) return;
 
   const std::uint32_t slot_base = rng_slots::frontier_slot_base(item.slot);
 
@@ -114,7 +127,7 @@ FrontierResult process_frontier_vertex(
     k = spec.variable_neighbor_size(degree, r);
     if (spec.branching_cap > 0) k = std::min(k, spec.branching_cap);
     warp.charge_rounds(2);
-    if (k == 0) return result;
+    if (k == 0) return;
   }
 
   const InstanceContext ctx{
@@ -126,9 +139,15 @@ FrontierResult process_frontier_vertex(
   const SelectCoords coords{item.instance, item.depth, slot_base};
   StaticCtpsTable::Row row;
   if (static_ctps != nullptr && uses_static_ctps(policy, spec)) {
-    row = static_ctps->visit(view, item.vertex, bias_scratch);
+    row = static_ctps->visit(view, item.vertex, ws.bias_scratch);
+    CSAW_CHECK_MSG(row.state != StaticCtpsTable::State::kReady ||
+                       row.f.size() == adj.size() + 1,
+                   "static CTPS row of vertex "
+                       << item.vertex << " has " << row.f.size()
+                       << " entries for degree " << adj.size()
+                       << ": table filled over a different graph");
   }
-  std::vector<std::uint32_t> selected;
+  std::vector<std::uint32_t>& selected = ws.selected;
   if (spec.sample_all_neighbors) {
     // Snowball: the whole neighbor list is the sample; no SELECT.
     selected.resize(adj.size());
@@ -139,26 +158,29 @@ FrontierResult process_frontier_vertex(
     // EDGEBIAS and rebuilds the CTPS this step (select_prebuilt charges
     // the scan), the host just reuses the row.
     warp.charge_rounds(lane_rounds(adj.size()));
-    if (row.state == StaticCtpsTable::State::kUnselectable) return result;
-    selected = selector.select_prebuilt(row.f, k, rng, coords, warp);
+    if (row.state == StaticCtpsTable::State::kUnselectable) return;
+    ws.neighbor_selector.select_prebuilt(row.f, k, rng, coords, warp,
+                                         selected);
   } else {
     // EDGEBIAS over the NeighborPool, evaluated lane-parallel (one
     // lock-step round per 32 edges).
-    bias_scratch.resize(adj.size());
+    std::vector<float>& biases = ws.bias_scratch;
+    biases.resize(adj.size());
     double total_bias = 0.0;
     for (std::size_t e = 0; e < adj.size(); ++e) {
       const EdgeRef edge{item.vertex, adj[e], weight_at(weights, e),
                          static_cast<EdgeIndex>(e)};
-      bias_scratch[e] = policy.eval_edge_bias(view, edge, ctx);
-      total_bias += bias_scratch[e];
+      biases[e] = policy.eval_edge_bias(view, edge, ctx);
+      total_bias += biases[e];
     }
     warp.charge_rounds(lane_rounds(adj.size()));
-    if (total_bias <= 0.0) return result;  // nothing selectable
+    if (total_bias <= 0.0) return;  // nothing selectable
 
     // Sampling without replacement collides against the instance's whole
     // sample so far: the persistent per-warp bitmap already holds bits for
     // visited candidates (paper §II-A, Fig. 7).
-    std::vector<std::uint32_t> pre_selected;
+    std::vector<std::uint32_t>& pre_selected = ws.pre_selected;
+    pre_selected.clear();
     if (spec.filter_visited && instance.visited.size() > 0) {
       for (std::size_t e = 0; e < adj.size(); ++e) {
         if (instance.visited.test(adj[e])) {
@@ -167,8 +189,8 @@ FrontierResult process_frontier_vertex(
       }
     }
 
-    selected = selector.select(bias_scratch, k, rng, coords, warp,
-                               pre_selected);
+    ws.neighbor_selector.select(biases, k, rng, coords, warp, selected,
+                                pre_selected);
   }
 
   // UPDATE (line 7) + Samples.INSERT (line 8).
@@ -179,11 +201,14 @@ FrontierResult process_frontier_vertex(
                        static_cast<EdgeIndex>(e)};
     result.sampled.push_back(Edge{edge.v, edge.u, edge.weight});
 
+    // Only an UPDATE hook reads the draw, and the counter-based RNG makes
+    // an unread draw unobservable; the warp pays the round either way.
     const double r_update =
-        rng.uniform(item.instance, item.depth,
-                    slot_base + rng_slots::kUpdateOffset +
-                        static_cast<std::uint32_t>(s),
-                    0);
+        policy.update ? rng.uniform(item.instance, item.depth,
+                                    slot_base + rng_slots::kUpdateOffset +
+                                        static_cast<std::uint32_t>(s),
+                                    0)
+                      : 0.0;
     warp.charge_rounds(1);
     const VertexId next = policy.eval_update(view, edge, ctx, r_update);
     if (next == kInvalidVertex) continue;
@@ -197,22 +222,31 @@ FrontierResult process_frontier_vertex(
     result.next.emplace_back(next, child_slot);
   }
   warp.charge_global(result.sampled.size() * sizeof(Edge));
-  return result;
 }
 
 struct SamplingEngine::StepScratch {
+  /// The run's instances and sample store, and the current step. Kernel
+  /// bodies capture only the engine and this scratch: two pointers fit
+  /// std::function's inline buffer, so a launch allocates no closure.
+  std::vector<InstanceState>* instances = nullptr;
+  SampleStore* samples = nullptr;
+  std::uint32_t step = 0;
   /// Selected pool positions per local instance (frontier of this step).
   std::vector<std::vector<std::uint32_t>> frontier_positions;
   /// One slot per warp-task of this step's sampling kernel, pre-sized
   /// before launch so each task writes its own slot with no locks.
   /// local_instance/pool_position are filled at task creation; the body
-  /// only moves its UPDATE results into `next`. Slots stay in task order
-  /// (instance-major), which is what advance_pools consumes.
+  /// only writes its UPDATE results into `next`. Slots stay in task order
+  /// (instance-major), which is what advance_pools consumes. Resizing
+  /// keeps the surviving slots' buffers for the next step.
   std::vector<TaskResult> results;
+  /// Local instances with work this step (frontier and layer kernels).
+  std::vector<std::uint32_t> busy;
 
-  void reset(std::size_t num_instances) {
-    frontier_positions.assign(num_instances, {});
-    results.clear();
+  void reset(std::uint32_t next_step) {
+    step = next_step;
+    frontier_positions.resize(instances->size());
+    for (auto& positions : frontier_positions) positions.clear();
   }
 };
 
@@ -312,6 +346,8 @@ void SamplingEngine::run_barrier(sim::Device& device,
                                  SampleStore& samples) {
   const auto num_instances = static_cast<std::uint32_t>(instances.size());
   StepScratch scratch;
+  scratch.instances = &instances;
+  scratch.samples = &samples;
   for (std::uint32_t step = 0; step < spec_.depth; ++step) {
     // Cancellation poll at the step barrier: a cancelled instance is
     // deactivated before the step's kernels form their task lists, so
@@ -324,13 +360,13 @@ void SamplingEngine::run_barrier(sim::Device& device,
         }
       }
     }
-    scratch.reset(num_instances);
+    scratch.reset(step);
 
     if (spec_.layer_mode) {
-      sample_layer(device, instances, step, scratch, samples);
+      sample_layer(device, scratch);
     } else {
       if (spec_.select_frontier) {
-        select_frontiers(device, instances, step, scratch);
+        select_frontiers(device, scratch);
       } else {
         for (std::uint32_t i = 0; i < num_instances; ++i) {
           if (!instances[i].active) continue;
@@ -339,10 +375,10 @@ void SamplingEngine::run_barrier(sim::Device& device,
           std::iota(positions.begin(), positions.end(), 0u);
         }
       }
-      sample_neighbors(device, instances, step, scratch, samples);
+      sample_neighbors(device, scratch);
     }
 
-    advance_pools(instances, scratch);
+    advance_pools(scratch);
     if (std::none_of(instances.begin(), instances.end(),
                      [](const InstanceState& s) { return s.active; })) {
       break;
@@ -375,41 +411,45 @@ void SamplingEngine::run_pipelined(sim::Device& device,
               {{"instance", std::to_string(config_.global_instance_id(i))},
                {"batch", std::to_string(config_.trace_batch)}});
         }
-        std::vector<std::uint32_t> positions;
-        std::vector<TaskResult> results;
+        // The chain owns this worker until it returns, so its positions
+        // and task results live in the worker's scratch. Resizing keeps
+        // the surviving slots' buffers: a walk reuses one slot for every
+        // step of every chain the worker runs.
+        std::vector<std::uint32_t>& positions = ws.positions;
+        std::vector<TaskResult>& results = ws.results;
         for (std::uint32_t step = 0; step < spec_.depth && inst.active;
              ++step) {
           // Per-step cancellation poll: stop this chain at the boundary;
           // other chains' samples are untouched.
           if (config_.may_cancel() && config_.instance_cancelled(i)) break;
           positions.clear();
-          results.clear();
           if (spec_.layer_mode) {
-            if (!inst.pool.empty()) {
-              TaskResult& r = results.emplace_back();
-              r.local_instance = i;
+            results.resize(inst.pool.empty() ? 0 : 1);
+            if (!results.empty()) {
+              results[0].local_instance = i;
               ctx.run_task(0, step, [&](sim::WarpContext& warp) {
-                r.next = sample_layer_body(inst, i, step, warp, ws, samples);
+                results[0].next =
+                    sample_layer_body(inst, i, step, warp, ws, samples);
               });
             }
           } else {
             if (spec_.select_frontier) {
               if (!inst.pool.empty()) {
                 ctx.run_task(0, 2ull * step, [&](sim::WarpContext& warp) {
-                  positions = select_frontier_body(inst, step, warp, ws);
+                  select_frontier_body(inst, step, warp, ws, positions);
                 });
               }
             } else {
               positions.resize(inst.pool.size());
               std::iota(positions.begin(), positions.end(), 0u);
             }
-            for (const std::uint32_t position : positions) {
-              TaskResult& r = results.emplace_back();
+            results.resize(positions.size());
+            for (std::size_t t = 0; t < positions.size(); ++t) {
+              TaskResult& r = results[t];
               r.local_instance = i;
-              r.pool_position = position;
+              r.pool_position = positions[t];
               ctx.run_task(0, 2ull * step + 1, [&](sim::WarpContext& warp) {
-                r.next = sample_position_body(inst, i, position, step, warp,
-                                              ws, samples);
+                sample_position_body(inst, step, warp, ws, samples, r);
               });
             }
           }
@@ -433,25 +473,28 @@ void SamplingEngine::run_pipelined(sim::Device& device,
 }
 
 void SamplingEngine::select_frontiers(sim::Device& device,
-                                      std::vector<InstanceState>& instances,
-                                      std::uint32_t step,
                                       StepScratch& scratch) {
-  std::vector<std::uint32_t> tasks;
+  const std::vector<InstanceState>& instances = *scratch.instances;
+  std::vector<std::uint32_t>& tasks = scratch.busy;
+  tasks.clear();
   for (std::uint32_t i = 0; i < instances.size(); ++i) {
     if (instances[i].active && !instances[i].pool.empty()) tasks.push_back(i);
   }
 
   device.run_kernel(
       "vertex_select", tasks.size(),
-      [&](std::uint64_t t, sim::WarpContext& warp, std::uint32_t worker) {
-        scratch.frontier_positions[tasks[t]] = select_frontier_body(
-            instances[tasks[t]], step, warp, workers_[worker]);
+      [this, &scratch](std::uint64_t t, sim::WarpContext& warp,
+                       std::uint32_t worker) {
+        const std::uint32_t i = scratch.busy[t];
+        select_frontier_body((*scratch.instances)[i], scratch.step, warp,
+                             workers_[worker], scratch.frontier_positions[i]);
       });
 }
 
-std::vector<std::uint32_t> SamplingEngine::select_frontier_body(
+void SamplingEngine::select_frontier_body(
     InstanceState& inst, std::uint32_t step, sim::WarpContext& warp,
-    WorkerScratch& ws) {
+    WorkerScratch& ws, std::vector<std::uint32_t>& positions) {
+  positions.clear();
   const InstanceContext ctx{
       inst.id, step, inst.prev_vertex, inst.seed_vertex,
       inst.visited.size() > 0 ? &inst.visited : nullptr};
@@ -465,76 +508,72 @@ std::vector<std::uint32_t> SamplingEngine::select_frontier_body(
     total += ws.bias_scratch[p];
   }
   warp.charge_rounds(lane_rounds(inst.pool.size()));
-  if (total <= 0.0) return {};
+  if (total <= 0.0) return;
 
-  return ws.frontier_selector->select(
-      ws.bias_scratch, spec_.frontier_size, rng_,
-      SelectCoords{inst.id, step, /*slot_base=*/0}, warp);
+  ws.frontier_selector->select(ws.bias_scratch, spec_.frontier_size, rng_,
+                               SelectCoords{inst.id, step, /*slot_base=*/0},
+                               warp, positions);
 }
 
 void SamplingEngine::sample_neighbors(sim::Device& device,
-                                      std::vector<InstanceState>& instances,
-                                      std::uint32_t step, StepScratch& scratch,
-                                      SampleStore& samples) {
+                                      StepScratch& scratch) {
   // One warp per (instance, frontier vertex) — the paper's intra-warp
-  // parallelism unit (§IV-A).
-  struct Task {
-    std::uint32_t local_instance;
-    std::uint32_t pool_position;
-  };
-  std::vector<Task> tasks;
+  // parallelism unit (§IV-A). The result slots double as the task list.
+  const std::vector<InstanceState>& instances = *scratch.instances;
+  std::size_t num_tasks = 0;
+  for (std::uint32_t i = 0; i < instances.size(); ++i) {
+    if (instances[i].active) num_tasks += scratch.frontier_positions[i].size();
+  }
+  scratch.results.resize(num_tasks);
+  std::size_t t = 0;
   for (std::uint32_t i = 0; i < instances.size(); ++i) {
     if (!instances[i].active) continue;
-    for (std::uint32_t position : scratch.frontier_positions[i]) {
-      tasks.push_back(Task{i, position});
+    for (const std::uint32_t position : scratch.frontier_positions[i]) {
+      TaskResult& r = scratch.results[t++];
+      r.local_instance = i;
+      r.pool_position = position;
     }
   }
 
-  scratch.results.resize(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    scratch.results[t].local_instance = tasks[t].local_instance;
-    scratch.results[t].pool_position = tasks[t].pool_position;
-  }
-
   device.run_kernel(
-      "neighbor_select", tasks.size(),
-      [&](std::uint64_t t, sim::WarpContext& warp, std::uint32_t worker) {
-        const Task task = tasks[t];
-        scratch.results[t].next = sample_position_body(
-            instances[task.local_instance], task.local_instance,
-            task.pool_position, step, warp, workers_[worker], samples);
+      "neighbor_select", num_tasks,
+      [this, &scratch](std::uint64_t task, sim::WarpContext& warp,
+                       std::uint32_t worker) {
+        TaskResult& r = scratch.results[task];
+        sample_position_body((*scratch.instances)[r.local_instance],
+                             scratch.step, warp, workers_[worker],
+                             *scratch.samples, r);
       },
       // Tasks of one instance share its visited set and sample vector:
       // affinity serializes them in task order on one worker.
-      [&tasks](std::uint64_t t) {
-        return static_cast<std::uint64_t>(tasks[t].local_instance);
+      [&scratch](std::uint64_t task) {
+        return static_cast<std::uint64_t>(
+            scratch.results[task].local_instance);
       });
 }
 
-std::vector<std::pair<VertexId, std::uint32_t>>
-SamplingEngine::sample_position_body(InstanceState& inst,
-                                     std::uint32_t local_instance,
-                                     std::uint32_t position,
-                                     std::uint32_t step,
-                                     sim::WarpContext& warp, WorkerScratch& ws,
-                                     SampleStore& samples) {
+void SamplingEngine::sample_position_body(InstanceState& inst,
+                                          std::uint32_t step,
+                                          sim::WarpContext& warp,
+                                          WorkerScratch& ws,
+                                          SampleStore& samples,
+                                          TaskResult& result) {
+  const std::uint32_t position = result.pool_position;
   const FrontierWorkItem item{inst.pool[position], inst.id, step,
                               inst.pool_slots[position]};
-  FrontierResult result =
-      process_frontier_vertex(*view_, policy_, spec_, rng_,
-                              ws.neighbor_selector, inst, item, warp,
-                              ws.bias_scratch, config_.static_ctps.get());
-  for (const Edge& e : result.sampled) {
-    samples.add(local_instance, e);
+  process_frontier_vertex(*view_, policy_, spec_, rng_, inst, item, warp, ws,
+                          config_.static_ctps.get());
+  for (const Edge& e : ws.step.sampled) {
+    samples.add(result.local_instance, e);
   }
-  return std::move(result.next);
+  result.next.assign(ws.step.next.begin(), ws.step.next.end());
 }
 
 void SamplingEngine::sample_layer(sim::Device& device,
-                                  std::vector<InstanceState>& instances,
-                                  std::uint32_t step, StepScratch& scratch,
-                                  SampleStore& samples) {
-  std::vector<std::uint32_t> tasks;
+                                  StepScratch& scratch) {
+  const std::vector<InstanceState>& instances = *scratch.instances;
+  std::vector<std::uint32_t>& tasks = scratch.busy;
+  tasks.clear();
   for (std::uint32_t i = 0; i < instances.size(); ++i) {
     if (instances[i].active && !instances[i].pool.empty()) tasks.push_back(i);
   }
@@ -546,10 +585,12 @@ void SamplingEngine::sample_layer(sim::Device& device,
 
   device.run_kernel(
       "layer_select", tasks.size(),
-      [&](std::uint64_t t, sim::WarpContext& warp, std::uint32_t worker) {
+      [this, &scratch](std::uint64_t t, sim::WarpContext& warp,
+                       std::uint32_t worker) {
+        const std::uint32_t i = scratch.busy[t];
         scratch.results[t].next =
-            sample_layer_body(instances[tasks[t]], tasks[t], step, warp,
-                              workers_[worker], samples);
+            sample_layer_body((*scratch.instances)[i], i, scratch.step, warp,
+                              workers_[worker], *scratch.samples);
       });
 }
 
@@ -597,7 +638,8 @@ SamplingEngine::sample_layer_body(InstanceState& inst,
   // persistent bitmap is vertex-indexed). Note: two pool entries can
   // share an endpoint via different frontier vertices; selecting one
   // does not block the other within this call.
-  std::vector<std::uint32_t> pre_selected;
+  std::vector<std::uint32_t>& pre_selected = ws.pre_selected;
+  pre_selected.clear();
   if (spec_.filter_visited && inst.visited.size() > 0) {
     for (std::size_t e = 0; e < pool_edges.size(); ++e) {
       if (inst.visited.test(pool_edges[e].u)) {
@@ -607,9 +649,10 @@ SamplingEngine::sample_layer_body(InstanceState& inst,
   }
 
   const std::uint32_t slot_base = rng_slots::frontier_slot_base(0);
-  const auto selected = ws.neighbor_selector.select(
-      ws.bias_scratch, spec_.neighbor_size, rng_,
-      SelectCoords{inst.id, step, slot_base}, warp, pre_selected);
+  std::vector<std::uint32_t>& selected = ws.selected;
+  ws.neighbor_selector.select(ws.bias_scratch, spec_.neighbor_size, rng_,
+                              SelectCoords{inst.id, step, slot_base}, warp,
+                              selected, pre_selected);
 
   std::vector<std::pair<VertexId, std::uint32_t>> next;
   for (std::size_t s = 0; s < selected.size(); ++s) {
@@ -628,8 +671,8 @@ SamplingEngine::sample_layer_body(InstanceState& inst,
   return next;
 }
 
-void SamplingEngine::advance_pools(std::vector<InstanceState>& instances,
-                                   StepScratch& scratch) const {
+void SamplingEngine::advance_pools(StepScratch& scratch) const {
+  std::vector<InstanceState>& instances = *scratch.instances;
   // Task results are instance-major (the kernels build their task lists
   // that way), so each instance's results form one contiguous run.
   std::size_t run = 0;
@@ -644,15 +687,14 @@ void SamplingEngine::advance_pools(std::vector<InstanceState>& instances,
     if (!inst.active) continue;
 
     advance_instance(inst, scratch.frontier_positions[i],
-                     std::span<const TaskResult>(
-                         scratch.results.data() + run_begin,
-                         run_end - run_begin));
+                     std::span<TaskResult>(scratch.results.data() + run_begin,
+                                           run_end - run_begin));
   }
 }
 
 void SamplingEngine::advance_instance(
     InstanceState& inst, const std::vector<std::uint32_t>& frontier_positions,
-    std::span<const TaskResult> results) const {
+    std::span<TaskResult> results) const {
   const std::uint32_t cap = spec_.effective_branching_cap();
 
   // node2vec context: the vertex explored at this step. Meaningful for
@@ -661,45 +703,37 @@ void SamplingEngine::advance_instance(
     inst.prev_vertex = inst.pool[frontier_positions.back()];
   }
 
+  std::vector<VertexId>& new_pool = inst.spare_pool;
+  std::vector<std::uint32_t>& new_slots = inst.spare_slots;
+  new_pool.clear();
+  new_slots.clear();
   if (spec_.select_frontier) {
     // Replace each consumed pool position in place with its UPDATE
-    // results (multi-dimensional random walk semantics, Fig. 4), via a
-    // position-indexed lookup (pool positions are distinct within a
-    // step, so the last write per position is the only one).
-    std::vector<const std::vector<std::pair<VertexId, std::uint32_t>>*>
-        next_at(inst.pool.size(), nullptr);
-    for (const TaskResult& result : results) {
-      next_at[result.pool_position] = &result.next;
-    }
-    std::vector<char> consumed(inst.pool.size(), 0);
-    for (std::uint32_t p : frontier_positions) consumed[p] = 1;
-
-    std::vector<VertexId> new_pool;
-    std::vector<std::uint32_t> new_slots;
-    new_pool.reserve(inst.pool.size());
-    new_slots.reserve(inst.pool.size());
+    // results (multi-dimensional random walk semantics, Fig. 4). Every
+    // frontier position has exactly one task result and positions are
+    // distinct within a step, so merging the results in position order
+    // against the pool finds each consumed entry.
+    std::sort(results.begin(), results.end(),
+              [](const TaskResult& a, const TaskResult& b) {
+                return a.pool_position < b.pool_position;
+              });
+    std::size_t r = 0;
     for (std::uint32_t p = 0; p < inst.pool.size(); ++p) {
-      if (!consumed[p]) {
+      if (r == results.size() || results[r].pool_position != p) {
         new_pool.push_back(inst.pool[p]);
         new_slots.push_back(inst.pool_slots[p]);
         continue;
       }
-      if (const auto* next = next_at[p]) {
-        for (const auto& [vertex, slot] : *next) {
-          new_pool.push_back(vertex);
-          // ns=1 select-frontier keeps the replaced entry's slot, which
-          // both keeps slots unique within the pool and bounds growth.
-          new_slots.push_back(cap == 1 ? inst.pool_slots[p] : slot);
-        }
+      for (const auto& [vertex, slot] : results[r++].next) {
+        new_pool.push_back(vertex);
+        // ns=1 select-frontier keeps the replaced entry's slot, which
+        // both keeps slots unique within the pool and bounds growth.
+        new_slots.push_back(cap == 1 ? inst.pool_slots[p] : slot);
       }
     }
-    inst.pool = std::move(new_pool);
-    inst.pool_slots = std::move(new_slots);
   } else {
     // BFS-style: next pool is the concatenation of UPDATE results in
     // task order.
-    std::vector<VertexId> new_pool;
-    std::vector<std::uint32_t> new_slots;
     for (const TaskResult& result : results) {
       for (const auto& [vertex, slot] : result.next) {
         new_pool.push_back(vertex);
@@ -712,9 +746,9 @@ void SamplingEngine::advance_instance(
         new_slots[s] = static_cast<std::uint32_t>(s);
       }
     }
-    inst.pool = std::move(new_pool);
-    inst.pool_slots = std::move(new_slots);
   }
+  inst.pool.swap(new_pool);
+  inst.pool_slots.swap(new_slots);
 
   if (inst.pool.empty()) inst.active = false;
 }

@@ -247,6 +247,16 @@ struct FrontierResult {
   std::vector<std::pair<VertexId, std::uint32_t>> next;
 };
 
+/// One warp-task's output slot in the in-memory engine: which
+/// instance/pool entry it served and the UPDATE results it produced.
+/// Pre-sized per task (barrier mode) or held in worker scratch (pipelined
+/// mode) so no task ever writes shared state.
+struct TaskResult {
+  std::uint32_t local_instance = 0;
+  std::uint32_t pool_position = 0;
+  std::vector<std::pair<VertexId, std::uint32_t>> next;
+};
+
 /// Per-worker mutable scratch for parallel kernel execution: one slot per
 /// host worker, indexed by the worker identity Device::launch passes to
 /// the body. Selectors own CTPS/lane/detector buffers, and bias_scratch
@@ -254,12 +264,26 @@ struct FrontierResult {
 /// must never observe from another (the engines used to share a single
 /// bias_scratch_ member across all kernel bodies, a latent aliasing
 /// hazard that per-worker scratch removes).
+///
+/// Every buffer here is cleared and refilled, never reallocated once it
+/// has grown to its working size, so a walk step makes no heap
+/// allocation after warm-up (tests/core/step_allocation_test.cpp).
 struct WorkerScratch {
   ItsSelector neighbor_selector;
   /// Engaged only for engines with a frontier-selection kernel (the
   /// in-memory engine); the OOM engine has none and skips the state.
   std::optional<ItsSelector> frontier_selector;
   std::vector<float> bias_scratch;
+  /// process_frontier_vertex's output, valid until the worker's next call.
+  FrontierResult step;
+  /// SELECT's picks and the already-visited candidate indices of the
+  /// current step (process_frontier_vertex).
+  std::vector<std::uint32_t> selected;
+  std::vector<std::uint32_t> pre_selected;
+  /// The in-memory pipelined chain's frontier positions and task results
+  /// of its current step.
+  std::vector<std::uint32_t> positions;
+  std::vector<TaskResult> results;
 
   explicit WorkerScratch(const SelectConfig& neighbor)
       : neighbor_selector(neighbor) {}
@@ -267,26 +291,40 @@ struct WorkerScratch {
       : neighbor_selector(neighbor), frontier_selector(frontier) {}
 };
 
-/// Whether a StaticCtpsTable can serve `spec` under `policy`: the policy
-/// declares a static EDGEBIAS and every visit draws with replacement over
-/// the whole neighbor list (walk-shaped specs without visited filtering).
-/// Without-replacement specs collide against per-instance state, so they
-/// keep the per-step path.
+/// Whether a StaticCtpsTable can serve `spec` under `policy`: the policy's
+/// EDGEBIAS is static (Policy::static_edge_bias, or no EDGEBIAS hook at
+/// all, which is the static bias 1) and every visit draws with
+/// replacement over the whole neighbor list (walk-shaped specs without
+/// visited filtering). Without-replacement specs collide against
+/// per-instance state, so they keep the per-step path.
 bool uses_static_ctps(const Policy& policy, const SamplingSpec& spec);
+
+/// The table a (graph, policy, spec) triple runs with: a fresh, lazily
+/// filled StaticCtpsTable over `graph` and the policy's static bias (1
+/// when the policy sets no EDGEBIAS hook) when uses_static_ctps holds,
+/// else null. Sampler, ShardRouter and Service all create their tables
+/// here.
+std::shared_ptr<StaticCtpsTable> make_static_ctps(const CsrGraph& graph,
+                                                  const Policy& policy,
+                                                  const SamplingSpec& spec);
 
 /// Executes GATHERNEIGHBORS + EDGEBIAS + SELECT + UPDATE for one frontier
 /// vertex against any GraphView. Every engine calls exactly this function,
 /// which is what makes the OOM ≡ in-memory equivalence tests meaningful.
-/// Visited filtering mutates `instance` when the spec requires it.
-/// `static_ctps` (nullable; over the view's graph and the policy's static
-/// bias) replaces the per-step EDGEBIAS loop and scan with a stored row
-/// when uses_static_ctps(policy, spec) holds; the warp is charged the
-/// same either way.
-FrontierResult process_frontier_vertex(
-    const GraphView& view, const Policy& policy, const SamplingSpec& spec,
-    const CounterStream& rng, ItsSelector& selector, InstanceState& instance,
-    const FrontierWorkItem& item, sim::WarpContext& warp,
-    std::vector<float>& bias_scratch, StaticCtpsTable* static_ctps);
+/// The result replaces `ws.step`; `ws` also supplies the neighbor
+/// selector and the staging buffers. Visited filtering mutates `instance`
+/// when the spec requires it. `static_ctps` (nullable; over the view's
+/// graph and the policy's static bias) replaces the per-step EDGEBIAS
+/// loop and scan with a stored row when uses_static_ctps(policy, spec)
+/// holds; the warp is charged the same either way. A row whose length
+/// does not match the vertex's degree in `view` (a table filled over
+/// another graph) raises CheckError.
+void process_frontier_vertex(const GraphView& view, const Policy& policy,
+                             const SamplingSpec& spec,
+                             const CounterStream& rng, InstanceState& instance,
+                             const FrontierWorkItem& item,
+                             sim::WarpContext& warp, WorkerScratch& ws,
+                             StaticCtpsTable* static_ctps);
 
 /// The in-memory C-SAW engine: executes the Fig. 2(b) MAIN loop as a
 /// sequence of simulated GPU kernels (one warp per instance for frontier
@@ -311,33 +349,16 @@ class SamplingEngine {
  private:
   struct StepScratch;
 
-  /// One warp-task's output slot: which instance/pool entry it served and
-  /// the UPDATE results it produced. Pre-sized per task (barrier mode) or
-  /// chain-local (pipelined mode) so no task ever writes shared state.
-  struct TaskResult {
-    std::uint32_t local_instance = 0;
-    std::uint32_t pool_position = 0;
-    std::vector<std::pair<VertexId, std::uint32_t>> next;
-  };
-
   /// Grows the per-worker scratch to the device's execution width.
   void ensure_workers(std::uint32_t width);
 
   // --- Step-barrier path: one kernel per step over all instances.
   void run_barrier(sim::Device& device, std::vector<InstanceState>& instances,
                    SampleStore& samples);
-  void select_frontiers(sim::Device& device,
-                        std::vector<InstanceState>& instances,
-                        std::uint32_t step, StepScratch& scratch);
-  void sample_neighbors(sim::Device& device,
-                        std::vector<InstanceState>& instances,
-                        std::uint32_t step, StepScratch& scratch,
-                        SampleStore& samples);
-  void sample_layer(sim::Device& device,
-                    std::vector<InstanceState>& instances, std::uint32_t step,
-                    StepScratch& scratch, SampleStore& samples);
-  void advance_pools(std::vector<InstanceState>& instances,
-                     StepScratch& scratch) const;
+  void select_frontiers(sim::Device& device, StepScratch& scratch);
+  void sample_neighbors(sim::Device& device, StepScratch& scratch);
+  void sample_layer(sim::Device& device, StepScratch& scratch);
+  void advance_pools(StepScratch& scratch) const;
 
   // --- Pipelined path: one chain per instance running its whole step
   // loop; each chain calls the same per-instance bodies the barrier
@@ -347,27 +368,28 @@ class SamplingEngine {
                      SampleStore& samples);
 
   // --- Shared per-instance kernel bodies.
-  /// VERTEXBIAS + SELECT over the FrontierPool; returns the selected pool
-  /// positions (empty when nothing is selectable).
-  std::vector<std::uint32_t> select_frontier_body(InstanceState& inst,
-                                                  std::uint32_t step,
-                                                  sim::WarpContext& warp,
-                                                  WorkerScratch& ws);
-  /// GATHERNEIGHBORS + EDGEBIAS + SELECT + UPDATE for one pool position;
-  /// appends sampled edges to `samples` and returns the UPDATE results.
-  std::vector<std::pair<VertexId, std::uint32_t>> sample_position_body(
-      InstanceState& inst, std::uint32_t local_instance,
-      std::uint32_t position, std::uint32_t step, sim::WarpContext& warp,
-      WorkerScratch& ws, SampleStore& samples);
+  /// VERTEXBIAS + SELECT over the FrontierPool; writes the selected pool
+  /// positions to `positions` (empty when nothing is selectable).
+  void select_frontier_body(InstanceState& inst, std::uint32_t step,
+                            sim::WarpContext& warp, WorkerScratch& ws,
+                            std::vector<std::uint32_t>& positions);
+  /// GATHERNEIGHBORS + EDGEBIAS + SELECT + UPDATE for the pool position
+  /// `result` names; appends sampled edges to `samples` and replaces
+  /// `result.next` with the UPDATE results.
+  void sample_position_body(InstanceState& inst, std::uint32_t step,
+                            sim::WarpContext& warp, WorkerScratch& ws,
+                            SampleStore& samples, TaskResult& result);
   /// Layer sampling: one combined NeighborPool over the whole frontier.
   std::vector<std::pair<VertexId, std::uint32_t>> sample_layer_body(
       InstanceState& inst, std::uint32_t local_instance, std::uint32_t step,
       sim::WarpContext& warp, WorkerScratch& ws, SampleStore& samples);
   /// Advances one instance's pool from this step's frontier positions and
-  /// task results (the per-instance body of advance_pools).
+  /// task results (the per-instance body of advance_pools). The next pool
+  /// is built in the instance's spare vectors and swapped in; select-
+  /// frontier specs reorder `results` by pool position.
   void advance_instance(InstanceState& inst,
                         const std::vector<std::uint32_t>& frontier_positions,
-                        std::span<const TaskResult> results) const;
+                        std::span<TaskResult> results) const;
 
   const GraphView* view_;
   Policy policy_;

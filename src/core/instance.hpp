@@ -20,6 +20,11 @@ struct InstanceState {
   /// assigned when an entry is created, so random draws are independent of
   /// the order in which engines process entries.
   std::vector<std::uint32_t> pool_slots;
+  /// Spare storage the engine builds the next pool and slots in before
+  /// swapping them with `pool` / `pool_slots`, so advancing a step
+  /// reuses two buffers instead of allocating new ones.
+  std::vector<VertexId> spare_pool;
+  std::vector<std::uint32_t> spare_slots;
   /// First seed of the instance — the restart target of random walk with
   /// restart.
   VertexId seed_vertex = kInvalidVertex;

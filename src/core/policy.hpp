@@ -100,12 +100,15 @@ struct Policy {
   /// specs reuse one per-vertex CTPS (core/static_ctps.hpp) instead of
   /// re-biasing and re-scanning the neighbor list on every step. Samples
   /// and simulated costs are identical to setting the same function as
-  /// `edge_bias`. At most one of the two hooks may be set.
+  /// `edge_bias`. At most one of the two hooks may be set; with neither,
+  /// the bias is the static uniform 1 and walks use the table as well.
   std::function<float(const GraphView&, const EdgeRef& e)> static_edge_bias;
 
   /// UPDATE: the vertex to insert into the FrontierPool given sampled
   /// edge e (Equation 4); kInvalidVertex inserts nothing. `r` is a
-  /// uniform [0,1) draw for probabilistic decisions (jump/restart).
+  /// uniform [0,1) draw for probabilistic decisions (jump/restart). The
+  /// engines draw it only when this hook is set: the default reads no
+  /// draw, and the counter-based RNG makes a skipped draw unobservable.
   std::function<VertexId(const GraphView&, const EdgeRef& e,
                          const InstanceContext&, double r)>
       update;

@@ -285,9 +285,8 @@ RunResult Sampler::dispatch(std::span<const std::vector<VertexId>> seeds,
                             CancelToken cancel,
                             std::span<const CancelToken> instance_cancel,
                             const SampleStore::CompletionCallback& on_complete) {
-  if (static_ctps_ == nullptr && uses_static_ctps(policy_, spec_)) {
-    static_ctps_ = std::make_shared<StaticCtpsTable>(
-        *graph_, policy_.static_edge_bias);
+  if (static_ctps_ == nullptr) {
+    static_ctps_ = make_static_ctps(*graph_, policy_, spec_);
   }
   RunResult result;
   switch (decision_.resolved) {

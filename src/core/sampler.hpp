@@ -265,8 +265,9 @@ class Sampler {
   void set_partition_cache(std::shared_ptr<PartitionCache> cache);
 
   /// Shares a per-vertex CTPS table (core/static_ctps.hpp) over this
-  /// sampler's graph and the same static EDGEBIAS as its policy, instead
-  /// of creating one on the first run — the service keeps one table per
+  /// sampler's graph and the same static EDGEBIAS as its policy (the
+  /// uniform 1 when it sets none), instead of creating one with
+  /// make_static_ctps on the first run — the service keeps one table per
   /// (graph, algorithm) so rows stay warm across batches. Used only when
   /// uses_static_ctps(policy(), spec()) holds; null restores the lazy
   /// per-sampler table.

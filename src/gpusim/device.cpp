@@ -65,7 +65,8 @@ void Device::execute_tasks(std::uint64_t num_tasks, const WorkerWarpBody& body,
   // Affinity groups: contiguous runs of equal keys execute serially in
   // task order on one worker (shared per-instance state stays race-free
   // and mutation order matches the serial schedule).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> groups;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>>& groups = groups_;
+  groups.clear();
   if (affinity != nullptr) {
     std::uint64_t begin = 0;
     std::uint64_t key = affinity(0);
@@ -85,7 +86,8 @@ void Device::execute_tasks(std::uint64_t num_tasks, const WorkerWarpBody& body,
   // accumulation byte for byte; warp_rounds are per-task slots and the
   // intra-block imbalance is computed from them post-barrier, exactly as
   // in the serial path.
-  std::vector<KernelStats> worker_stats(pool->max_workers());
+  std::vector<KernelStats>& worker_stats = worker_stats_;
+  worker_stats.assign(pool->max_workers(), KernelStats{});
   const auto run_range = [&](std::uint64_t begin, std::uint64_t end,
                              std::uint32_t worker) {
     KernelStats& local = worker_stats[worker];
@@ -151,7 +153,8 @@ const KernelRecord& Device::launch(std::string name, Stream& stream,
                                    const WarpBody& body) {
   // Legacy bodies may touch shared state: always the serial loop.
   KernelStats stats;
-  std::vector<std::uint64_t> warp_rounds(num_tasks, 0);
+  std::vector<std::uint64_t>& warp_rounds = warp_rounds_;
+  warp_rounds.assign(num_tasks, 0);
   for (std::uint64_t task = 0; task < num_tasks; ++task) {
     const std::uint64_t before = stats.lockstep_rounds;
     {
@@ -170,10 +173,9 @@ const KernelRecord& Device::launch(std::string name, Stream& stream,
                                    const WorkerWarpBody& body,
                                    const TaskAffinity& affinity) {
   KernelStats stats;
-  std::vector<std::uint64_t> warp_rounds;
-  execute_tasks(num_tasks, body, affinity, stats, warp_rounds);
+  execute_tasks(num_tasks, body, affinity, stats, warp_rounds_);
   return record_kernel(std::move(name), stream, resource_fraction, num_tasks,
-                       stats, warp_rounds);
+                       stats, warp_rounds_);
 }
 
 const KernelRecord& Device::run_kernel(std::string name,

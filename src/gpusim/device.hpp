@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gpusim/cost_model.hpp"
@@ -313,6 +314,12 @@ class Device {
   /// docs/BENCHMARKS.md "Host-side perf notes"). Scratch only —
   /// reset() does not touch it.
   std::vector<ChainContext> chain_pool_;
+  /// Per-launch scratch of launch()/execute_tasks(), reused by every
+  /// kernel this device runs (launches on one device never overlap), so
+  /// a step-barrier run allocates nothing per step here.
+  std::vector<std::uint64_t> warp_rounds_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> groups_;
+  std::vector<KernelStats> worker_stats_;
 };
 
 }  // namespace csaw::sim

@@ -81,23 +81,33 @@ void ThreadPool::run_batch(std::size_t num_items, const Task& fn,
     return;
   }
 
-  Batch batch(num_threads_);
+  Batch batch;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (spare_queues_.empty()) {
+      batch.queues = std::make_unique<ItemQueue[]>(num_threads_);
+    } else {
+      batch.queues = std::move(spare_queues_.back());
+      spare_queues_.pop_back();
+    }
+  }
   // Deterministic initial placement; stealing rebalances at runtime, and
   // results must not depend on who executes what (Device::launch's
   // contract). parallel_for deals contiguous chunks (worker w owns
   // [w*chunk, (w+1)*chunk) — cache-friendly for slot-indexed outputs);
   // parallel_chains deals round-robin (item i starts on worker i mod
   // width — spreads similar-length neighboring chains).
-  if (distribution == Distribution::kContiguous) {
-    const std::size_t chunk = (num_items + num_threads_ - 1) / num_threads_;
-    for (std::uint32_t w = 0; w < num_threads_; ++w) {
-      const std::size_t begin = std::min<std::size_t>(w * chunk, num_items);
-      const std::size_t end = std::min(begin + chunk, num_items);
-      for (std::size_t i = begin; i < end; ++i) batch.queues[w].push_back(i);
-    }
-  } else {
-    for (std::size_t i = 0; i < num_items; ++i) {
-      batch.queues[i % num_threads_].push_back(i);
+  for (std::uint32_t w = 0; w < num_threads_; ++w) {
+    ItemQueue& queue = batch.queues[w];
+    if (distribution == Distribution::kContiguous) {
+      const std::size_t chunk = (num_items + num_threads_ - 1) / num_threads_;
+      queue.front = std::min<std::size_t>(w * chunk, num_items);
+      queue.stride = 1;
+      queue.size = std::min(queue.front + chunk, num_items) - queue.front;
+    } else {
+      queue.front = w;
+      queue.stride = num_threads_;
+      queue.size = w < num_items ? (num_items - w - 1) / num_threads_ + 1 : 0;
     }
   }
   batch.fn = &fn;
@@ -174,6 +184,7 @@ void ThreadPool::run_batch(std::size_t num_items, const Task& fn,
     done_cv_.wait(lock);
   }
   active_.erase(std::find(active_.begin(), active_.end(), &batch));
+  spare_queues_.push_back(std::move(batch.queues));
   if (registered_here) {
     // Outermost frame of this pool's registration: free the slot (a
     // later batch — from this thread or another — may claim it afresh)
@@ -222,20 +233,22 @@ bool ThreadPool::pop_item(Batch& batch, std::uint32_t worker,
   const std::uint32_t home = worker % num_threads_;
   // Own queue first (front), then steal from the back of the others.
   {
-    std::lock_guard<std::mutex> lock(batch.queue_mu[home]);
-    if (!batch.queues[home].empty()) {
-      item = batch.queues[home].front();
-      batch.queues[home].pop_front();
+    ItemQueue& own = batch.queues[home];
+    std::lock_guard<std::mutex> lock(own.mu);
+    if (own.size > 0) {
+      item = own.front;
+      own.front += own.stride;
+      --own.size;
       batch.queued.fetch_sub(1, std::memory_order_relaxed);
       return true;
     }
   }
   for (std::uint32_t step = 1; step < num_threads_; ++step) {
-    const std::uint32_t victim = (home + step) % num_threads_;
-    std::lock_guard<std::mutex> lock(batch.queue_mu[victim]);
-    if (!batch.queues[victim].empty()) {
-      item = batch.queues[victim].back();
-      batch.queues[victim].pop_back();
+    ItemQueue& victim = batch.queues[(home + step) % num_threads_];
+    std::lock_guard<std::mutex> lock(victim.mu);
+    if (victim.size > 0) {
+      --victim.size;
+      item = victim.front + victim.size * victim.stride;
       batch.queued.fetch_sub(1, std::memory_order_relaxed);
       return true;
     }
@@ -256,9 +269,10 @@ void ThreadPool::drain(Batch& batch, std::uint32_t worker) {
       // never held while taking mu_.
       std::size_t dropped = 0;
       for (std::uint32_t q = 0; q < num_threads_; ++q) {
-        std::lock_guard<std::mutex> qlock(batch.queue_mu[q]);
-        dropped += batch.queues[q].size();
-        batch.queues[q].clear();
+        ItemQueue& queue = batch.queues[q];
+        std::lock_guard<std::mutex> qlock(queue.mu);
+        dropped += queue.size;
+        queue.size = 0;
       }
       batch.queued.store(0, std::memory_order_relaxed);
       if (dropped > 0) {

@@ -3,9 +3,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -130,19 +130,30 @@ class ThreadPool {
   /// How run_batch deals items into the per-worker queues.
   enum class Distribution { kContiguous, kRoundRobin };
 
+  /// One worker's queue of a batch: the arithmetic progression
+  /// front, front + stride, ... of `size` items. Both distributions deal
+  /// each worker such a progression and items are only ever popped, the
+  /// owner from the front and thieves from the back, so no storage is
+  /// needed per item.
+  struct ItemQueue {
+    std::size_t front = 0;
+    std::size_t stride = 1;
+    std::size_t size = 0;
+    std::mutex mu;
+  };
+
   struct Batch {
     const Task* fn = nullptr;
-    /// Per-worker item queues; mutex-per-queue, stealing from the back.
-    std::vector<std::deque<std::size_t>> queues;
-    std::vector<std::mutex> queue_mu;
+    /// Per-worker item queues (num_threads_ of them); mutex-per-queue,
+    /// stealing from the back. Taken from spare_queues_ and returned there
+    /// when the batch ends, so a launch allocates no queues once warm.
+    std::unique_ptr<ItemQueue[]> queues;
     /// Cheap "has queued work" hint so batch selection does not need the
     /// queue mutexes; correctness comes from the mutexes themselves.
     std::atomic<std::size_t> queued{0};
     std::size_t remaining = 0;  ///< items not yet finished (under pool mu_)
     std::size_t visitors = 0;   ///< threads inside drain() (under pool mu_)
     std::exception_ptr error;   ///< first failure (under pool mu_)
-
-    explicit Batch(std::size_t width) : queues(width), queue_mu(width) {}
   };
 
   /// Shared body of parallel_for / parallel_chains.
@@ -172,6 +183,8 @@ class ThreadPool {
   std::condition_variable work_cv_;  ///< workers: new batch or shutdown
   std::condition_variable done_cv_;  ///< batch owners: progress happened
   std::vector<Batch*> active_;       ///< in-flight batches, registration order
+  /// Queue arrays of finished batches, reused by later ones (under mu_).
+  std::vector<std::unique_ptr<ItemQueue[]>> spare_queues_;
   bool stopping_ = false;
   /// External-thread admission (under mu_): slot k is held by the thread
   /// whose id is stored there, or free when default-constructed. A thread

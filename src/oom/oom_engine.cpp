@@ -829,13 +829,12 @@ void OomEngine::process_entry(std::uint32_t p, const FrontierEntry& entry,
 
   const FrontierWorkItem item{entry.vertex, entry.instance, entry.depth,
                               entry.slot};
-  FrontierResult result = process_frontier_vertex(
-      view, policy_, spec_, rng_, scratch.neighbor_selector, inst, item, warp,
-      scratch.bias_scratch, config_.engine.static_ctps.get());
-  for (const Edge& e : result.sampled) samples_->add(local, e);
+  process_frontier_vertex(view, policy_, spec_, rng_, inst, item, warp,
+                          scratch, config_.engine.static_ctps.get());
+  for (const Edge& e : scratch.step.sampled) samples_->add(local, e);
 
   if (entry.depth + 1 >= spec_.depth) return;  // walk/tree complete
-  for (const auto& [vertex, slot] : result.next) {
+  for (const auto& [vertex, slot] : scratch.step.next) {
     routed.push_back(FrontierEntry{vertex, entry.instance, entry.local,
                                    entry.depth + 1, slot, entry.vertex});
   }

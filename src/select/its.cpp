@@ -10,12 +10,13 @@ namespace csaw {
 ItsSelector::ItsSelector(SelectConfig config)
     : config_(config), detector_(make_detector(config.detector)) {}
 
-std::vector<std::uint32_t> ItsSelector::select(
-    std::span<const float> biases, std::uint32_t k, const CounterStream& rng,
-    SelectCoords coords, sim::WarpContext& warp,
-    std::span<const std::uint32_t> pre_selected) {
-  std::vector<std::uint32_t> out;
-  if (k == 0 || biases.empty()) return out;
+void ItsSelector::select(std::span<const float> biases, std::uint32_t k,
+                         const CounterStream& rng, SelectCoords coords,
+                         sim::WarpContext& warp,
+                         std::vector<std::uint32_t>& out,
+                         std::span<const std::uint32_t> pre_selected) {
+  out.clear();
+  if (k == 0 || biases.empty()) return;
 
   // Fig. 5 lines 6-7: warp Kogge-Stone prefix sum + normalization. The
   // warp also streams the bias array from global memory once.
@@ -23,9 +24,8 @@ std::vector<std::uint32_t> ItsSelector::select(
   ctps_.build(biases, &warp);
 
   if (config_.with_replacement) {
-    out.reserve(k);
     select_with_replacement(ctps_.f(), k, rng, coords, warp, out);
-    return out;
+    return;
   }
 
   // Sampling without replacement can never pick more candidates than are
@@ -38,8 +38,7 @@ std::vector<std::uint32_t> ItsSelector::select(
   CSAW_CHECK(blocked <= ctps_.positive_candidates());
   k = static_cast<std::uint32_t>(
       std::min<std::size_t>(k, ctps_.positive_candidates() - blocked));
-  if (k == 0) return out;
-  out.reserve(k);
+  if (k == 0) return;
   detector_->reset(biases.size());
   for (std::uint32_t idx : pre_selected) detector_->preload(idx);
 
@@ -48,22 +47,20 @@ std::vector<std::uint32_t> ItsSelector::select(
   } else {
     select_repeated_or_bipartite(k, rng, coords, warp, out);
   }
-  return out;
 }
 
-std::vector<std::uint32_t> ItsSelector::select_prebuilt(
-    std::span<const float> f, std::uint32_t k, const CounterStream& rng,
-    SelectCoords coords, sim::WarpContext& warp) {
-  std::vector<std::uint32_t> out;
-  if (k == 0 || f.size() < 2) return out;
+void ItsSelector::select_prebuilt(std::span<const float> f, std::uint32_t k,
+                                  const CounterStream& rng,
+                                  SelectCoords coords, sim::WarpContext& warp,
+                                  std::vector<std::uint32_t>& out) {
+  out.clear();
+  if (k == 0 || f.size() < 2) return;
   const std::size_t n = f.size() - 1;
   // The same charges select() makes before its draws: stream the biases
   // in, then scan and normalize them (Fig. 5 lines 6-7).
   warp.charge_global(n * sizeof(float));
   Ctps::charge_build(n, warp);
-  out.reserve(k);
   select_with_replacement(f, k, rng, coords, warp, out);
-  return out;
 }
 
 void ItsSelector::select_with_replacement(std::span<const float> f,
@@ -105,18 +102,11 @@ void ItsSelector::select_repeated_or_bipartite(
 
   std::uint32_t remaining = k;
   std::uint32_t round = 0;
-  // Scratch for lanes that collided in phase 1 of the current round.
-  struct Collided {
-    std::uint32_t lane;
-    double r_prime;
-    std::size_t region;
-  };
-  std::vector<Collided> collided;
 
   while (remaining > 0) {
     CSAW_CHECK_MSG(++round <= config_.max_rounds,
                    "SELECT exceeded max_rounds; bias vector degenerate?");
-    collided.clear();
+    collided_.clear();
 
     // --- Phase 1 (lock-step): each unfinished lane draws a fresh random
     // number, binary-searches the CTPS, and probes the detector.
@@ -143,12 +133,12 @@ void ItsSelector::select_repeated_or_bipartite(
         lane.result = static_cast<std::uint32_t>(idx);
         --remaining;
       } else if (bipartite) {
-        collided.push_back(Collided{i, r_prime, idx});
+        collided_.push_back(Collided{i, r_prime, idx});
       }
     }
     warp.end_atomic_round();
 
-    if (collided.empty()) continue;
+    if (collided_.empty()) continue;
 
     // --- Phase 2 (bipartite region search, paper Fig. 6(c) steps 3-5):
     // transform the random number around the pre-selected region and probe
@@ -156,14 +146,14 @@ void ItsSelector::select_repeated_or_bipartite(
     // round (step "go to 1").
     warp.charge_rounds(4);  // lambda/delta computation and comparisons
     warp.charge_binary_search(ctps_.f().size(),
-                              static_cast<std::uint32_t>(collided.size()));
+                              static_cast<std::uint32_t>(collided_.size()));
     if (linear_detector) {
       warp.charge_rounds(
           std::max<std::uint64_t>(detector_->selected().size(), 1));
     }
     warp.charge_rounds(1);  // probe/update
 
-    for (const Collided& c : collided) {
+    for (const Collided& c : collided_) {
       Lane& lane = lanes_[c.lane];
       const double l = ctps_.lo(c.region);
       const double h = ctps_.hi(c.region);

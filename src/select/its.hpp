@@ -70,7 +70,9 @@ class ItsSelector {
 
   const SelectConfig& config() const noexcept { return config_; }
 
-  /// Selects up to `k` candidates from `biases` (indices into the pool).
+  /// Selects up to `k` candidates from `biases` (indices into the pool)
+  /// into `out`, which is cleared first and keeps its capacity, so a
+  /// caller reusing one vector allocates only while it grows.
   /// Without replacement the result contains min(k, #selectable) distinct
   /// indices; with replacement exactly `k` draws.
   ///
@@ -84,21 +86,21 @@ class ItsSelector {
   ///
   /// Lanes run in lock-step: the k selections proceed in parallel rounds,
   /// and costs are charged per warp-round, not per lane (divergence rule).
-  std::vector<std::uint32_t> select(
-      std::span<const float> biases, std::uint32_t k, const CounterStream& rng,
-      SelectCoords coords, sim::WarpContext& warp,
-      std::span<const std::uint32_t> pre_selected = {});
+  void select(std::span<const float> biases, std::uint32_t k,
+              const CounterStream& rng, SelectCoords coords,
+              sim::WarpContext& warp, std::vector<std::uint32_t>& out,
+              std::span<const std::uint32_t> pre_selected = {});
 
   /// With-replacement select over a prebuilt CTPS `f` (n+1 values, as
   /// Ctps::fill writes for the same biases): exactly `k` draws, identical
   /// results and identical charges to select() on those biases with
   /// SelectConfig::with_replacement set — the warp still pays the bias
   /// read, scan and normalization the GPU kernel performs per step.
-  std::vector<std::uint32_t> select_prebuilt(std::span<const float> f,
-                                             std::uint32_t k,
-                                             const CounterStream& rng,
-                                             SelectCoords coords,
-                                             sim::WarpContext& warp);
+  /// Writes into `out` like select().
+  void select_prebuilt(std::span<const float> f, std::uint32_t k,
+                       const CounterStream& rng, SelectCoords coords,
+                       sim::WarpContext& warp,
+                       std::vector<std::uint32_t>& out);
 
  private:
   struct Lane {
@@ -106,6 +108,12 @@ class ItsSelector {
     std::uint32_t attempt = 0;
     bool done = false;
     std::uint32_t result = 0;
+  };
+  /// A lane that collided in phase 1 of a bipartite round.
+  struct Collided {
+    std::uint32_t lane;
+    double r_prime;
+    std::size_t region;
   };
 
   static void select_with_replacement(std::span<const float> f,
@@ -129,6 +137,7 @@ class ItsSelector {
   Ctps ctps_;
   std::vector<float> updated_biases_;  // scratch for kUpdatedSampling
   std::vector<Lane> lanes_;            // scratch for lane-parallel rounds
+  std::vector<Collided> collided_;     // scratch for bipartite phase 2
 };
 
 }  // namespace csaw

@@ -1071,18 +1071,18 @@ void Service::run_batch(std::vector<Pending> batch) {
     const AlgorithmSetup setup = make_algorithm(
         head.algorithm, head.depth_or_length, head.neighbor_size);
     std::shared_ptr<StaticCtpsTable> static_ctps;
-    if (uses_static_ctps(setup.policy, setup.spec)) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto& tables = graphs_.at(head.graph).static_ctps;
-        const auto it = tables.find(head.algorithm);
-        if (it != tables.end()) static_ctps = it->second;
-      }
-      if (static_ctps == nullptr) {
-        // First static-bias batch of this algorithm on this graph: build
-        // the (empty, lazily filled) table outside the lock and publish it.
-        static_ctps = std::make_shared<StaticCtpsTable>(
-            *graph, setup.policy.static_edge_bias);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto& tables = graphs_.at(head.graph).static_ctps;
+      const auto it = tables.find(head.algorithm);
+      if (it != tables.end()) static_ctps = it->second;
+    }
+    if (static_ctps == nullptr) {
+      // First static-bias batch of this algorithm on this graph: build
+      // the (empty, lazily filled) table outside the lock and publish it.
+      // Algorithms the table cannot serve get null and publish nothing.
+      static_ctps = make_static_ctps(*graph, setup.policy, setup.spec);
+      if (static_ctps != nullptr) {
         std::lock_guard<std::mutex> lock(mu_);
         static_ctps = graphs_.at(head.graph)
                           .static_ctps.try_emplace(head.algorithm, static_ctps)

@@ -24,10 +24,11 @@ namespace {
 /// parallelizes over shards with no aliasing.
 struct ShardWorker {
   ShardWorker(const SelectConfig& select, std::uint32_t shards)
-      : selector(select), egress(shards) {}
+      : buffers(select), egress(shards) {}
 
-  ItsSelector selector;
-  std::vector<float> bias_scratch;
+  /// Selector and step buffers for process_frontier_vertex, reused by
+  /// every step of every resident walker.
+  WorkerScratch buffers;
   /// prev/seed carrier for process_frontier_vertex; walk-shaped specs
   /// never track visitation, so one scratch instance serves every
   /// walker of the shard.
@@ -113,9 +114,8 @@ RunResult ShardRouter::run_tagged(
   const CounterStream rng(options_.seed);
   const sim::CostModel cost(options_.device_params);
   telemetry::TraceRecorder* trace = control.trace;
-  if (static_ctps_ == nullptr && uses_static_ctps(policy, spec)) {
-    static_ctps_ =
-        std::make_shared<StaticCtpsTable>(*graph_, policy.static_edge_bias);
+  if (static_ctps_ == nullptr) {
+    static_ctps_ = make_static_ctps(*graph_, policy, spec);
   }
 
   RunResult result;
@@ -209,14 +209,14 @@ RunResult ShardRouter::run_tagged(
         w.scratch.id = walker.tag;
         w.scratch.seed_vertex = walker.seed;
         w.scratch.prev_vertex = walker.prev;
-        FrontierResult step;
         {
           sim::WarpContext warp(w.round_stats);
-          step = process_frontier_vertex(
-              view, policy, spec, rng, w.selector, w.scratch,
+          process_frontier_vertex(
+              view, policy, spec, rng, w.scratch,
               FrontierWorkItem{walker.vertex, walker.tag, walker.depth, 0},
-              warp, w.bias_scratch, static_ctps_.get());
+              warp, w.buffers, static_ctps_.get());
         }
+        const FrontierResult& step = w.buffers.step;
         ++w.round_steps;
         for (const Edge& e : step.sampled) {
           result.samples.add(walker.local, e);

@@ -103,8 +103,8 @@ class ShardRouter {
 
   /// Shares a per-vertex CTPS table over this router's graph and the
   /// setup's static EDGEBIAS (the service keeps one per graph and
-  /// algorithm). Without one, the first run creates a private table when
-  /// uses_static_ctps holds for the setup.
+  /// algorithm). Without one, the first run creates a private table with
+  /// make_static_ctps.
   void set_static_ctps(std::shared_ptr<StaticCtpsTable> table);
 
   /// Runs one walker per seeds entry (each entry must hold exactly one

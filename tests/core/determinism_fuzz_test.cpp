@@ -12,7 +12,9 @@
 // Every random choice derives from one master seed, printed at the start
 // of the suite and overridable via CSAW_FUZZ_SEED, so any failure
 // reproduces by exporting the logged seed. Per-config seeds are logged in
-// each assertion's scope too.
+// each assertion's scope too. Sweep mode: CSAW_FUZZ_SEEDS=N runs N master
+// seeds (the base seed, then N-1 derived from it), printing each, so a
+// long soak needs no shell loop; a failure names the seed to export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +28,7 @@
 #include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "shard/router.hpp"
+#include "util/cli.hpp"
 
 namespace csaw {
 namespace {
@@ -34,19 +37,22 @@ constexpr std::uint64_t kDefaultMasterSeed = 0xC5A7F00Dull;
 constexpr std::uint32_t kNumConfigs = 50;
 constexpr std::uint32_t kWidths[] = {1, 2, 7};
 
-std::uint64_t master_seed() {
-  static const std::uint64_t seed = [] {
-    std::uint64_t s = kDefaultMasterSeed;
-    if (const char* env = std::getenv("CSAW_FUZZ_SEED")) {
-      s = std::strtoull(env, nullptr, 0);
-    }
-    // The reproduction handle: re-run any failure with
-    // CSAW_FUZZ_SEED=<this value>.
-    std::printf("[ fuzz     ] master seed 0x%llx\n",
-                static_cast<unsigned long long>(s));
-    return s;
-  }();
-  return seed;
+/// The master seeds of this run: CSAW_FUZZ_SEED (else the default),
+/// followed under CSAW_FUZZ_SEEDS=N by N-1 seeds spaced by the golden-
+/// ratio increment from it. Each one reproduces alone as CSAW_FUZZ_SEED.
+std::vector<std::uint64_t> master_seeds() {
+  std::uint64_t base = kDefaultMasterSeed;
+  if (const char* env = std::getenv("CSAW_FUZZ_SEED")) {
+    base = std::strtoull(env, nullptr, 0);
+  }
+  const std::int64_t count = env_int_or("CSAW_FUZZ_SEEDS", 1);
+  EXPECT_GE(count, 1) << "CSAW_FUZZ_SEEDS must be >= 1";
+  std::vector<std::uint64_t> seeds;
+  for (std::int64_t k = 0; k < count; ++k) {
+    seeds.push_back(base + static_cast<std::uint64_t>(k) *
+                               0x9E3779B97F4A7C15ull);
+  }
+  return seeds;
 }
 
 enum class GraphKind { kRmat, kErdosRenyi, kBarabasiAlbert };
@@ -210,8 +216,9 @@ void expect_same_samples(const SampleStore& got, const SampleStore& want,
   }
 }
 
-TEST(DeterminismFuzz, EveryConfigMatchesSerialBarrierBaseline) {
-  std::mt19937_64 master(master_seed());
+/// Runs the kNumConfigs configurations drawn from one master seed.
+void fuzz_master_seed(std::uint64_t seed) {
+  std::mt19937_64 master(seed);
   for (std::uint32_t c = 0; c < kNumConfigs; ++c) {
     FuzzConfig config = draw_config(master());
     const CsrGraph graph = build_graph(config);
@@ -317,6 +324,22 @@ TEST(DeterminismFuzz, EveryConfigMatchesSerialBarrierBaseline) {
       ASSERT_EQ(wide.seps(), first.seps())
           << sweep_label << " @ " << kWidths[w] << " threads";
     }
+  }
+}
+
+TEST(DeterminismFuzz, EveryConfigMatchesSerialBarrierBaseline) {
+  for (const std::uint64_t seed : master_seeds()) {
+    // The reproduction handle: re-run any failure with
+    // CSAW_FUZZ_SEED=<this value>.
+    std::printf("[ fuzz     ] master seed 0x%llx\n",
+                static_cast<unsigned long long>(seed));
+    std::fflush(stdout);
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%llx",
+                  static_cast<unsigned long long>(seed));
+    SCOPED_TRACE(std::string("master seed ") + hex);
+    fuzz_master_seed(seed);
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -3,7 +3,9 @@
 // Policy::static_edge_bias must produce exactly what the same function
 // produces through Policy::edge_bias — identical samples, sim_seconds and
 // every KernelStats field — in every execution mode, at any host width,
-// on a cold table and on a warm one. Also pinned here: concurrent first
+// on a cold table and on a warm one. A walk with no EDGEBIAS hook at all
+// runs on a table of the uniform bias 1 and must match an explicit
+// per-step bias of 1 the same way. Also pinned here: concurrent first
 // visits of one row, the error contract of a throwing fill, and the
 // rejection of a policy that sets both hooks.
 #include "core/static_ctps.hpp"
@@ -17,6 +19,7 @@
 
 #include "algorithms/neighbor_sampling.hpp"
 #include "algorithms/random_walks.hpp"
+#include "algorithms/registry.hpp"
 #include "core/sampler.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -53,17 +56,29 @@ std::vector<std::uint32_t> tags_from(std::uint32_t base, std::uint32_t n) {
   return tags;
 }
 
-/// biased_random_walk with its static EDGEBIAS moved onto the per-step
-/// edge_bias hook: the same function, so the same biases.
+/// The same walk with its EDGEBIAS on the per-step edge_bias hook: the
+/// static hook's function, or the uniform 1 a policy without an EDGEBIAS
+/// hook evaluates to. Same biases, so the same samples.
 AlgorithmSetup as_dynamic(AlgorithmSetup setup) {
-  setup.policy.edge_bias = [bias = setup.policy.static_edge_bias](
-                               const GraphView& view, const EdgeRef& e,
-                               const InstanceContext&) {
+  StaticCtpsTable::Bias bias = setup.policy.static_edge_bias;
+  if (!bias) bias = [](const GraphView&, const EdgeRef&) { return 1.0f; };
+  setup.policy.edge_bias = [bias](const GraphView& view, const EdgeRef& e,
+                                  const InstanceContext&) {
     return bias(view, e);
   };
   setup.policy.static_edge_bias = nullptr;
   return setup;
 }
+
+/// Every registry walk the table serves: the static-bias walk and the
+/// uniform-EDGEBIAS ones (plain, DeepWalk, accept/stay, jump, restart and
+/// the frontier-pool walk).
+constexpr AlgorithmId kTableWalks[] = {
+    AlgorithmId::kBiasedRandomWalk,       AlgorithmId::kSimpleRandomWalk,
+    AlgorithmId::kDeepwalk,               AlgorithmId::kMetropolisHastingsWalk,
+    AlgorithmId::kRandomWalkWithJump,     AlgorithmId::kRandomWalkWithRestart,
+    AlgorithmId::kMultiDimRandomWalk,
+};
 
 void expect_same_stats(const sim::KernelStats& a, const sim::KernelStats& b,
                        const std::string& label) {
@@ -138,32 +153,63 @@ TEST(StaticBias, AlgorithmsDeclareTheStaticHook) {
   EXPECT_FALSE(uses_static_ctps(sampling.policy, sampling.spec));
   EXPECT_FALSE(
       uses_static_ctps(as_dynamic(walk).policy, as_dynamic(walk).spec));
+
+  // No EDGEBIAS hook is the static bias 1; a dynamic hook never is.
+  const CsrGraph& g = *shared_graph();
+  for (const AlgorithmId id : kTableWalks) {
+    const auto setup = make_algorithm(id, kLength);
+    EXPECT_TRUE(uses_static_ctps(setup.policy, setup.spec))
+        << algorithm_info(id).name;
+    EXPECT_NE(make_static_ctps(g, setup.policy, setup.spec), nullptr)
+        << algorithm_info(id).name;
+  }
+  for (const AlgorithmId id :
+       {AlgorithmId::kNode2vec, AlgorithmId::kUnbiasedNeighborSampling,
+        AlgorithmId::kLayerSampling, AlgorithmId::kSnowball}) {
+    const auto setup = make_algorithm(id, kLength);
+    EXPECT_FALSE(uses_static_ctps(setup.policy, setup.spec))
+        << algorithm_info(id).name;
+    EXPECT_EQ(make_static_ctps(g, setup.policy, setup.spec), nullptr)
+        << algorithm_info(id).name;
+  }
 }
 
 TEST(StaticBias, HooksAgreeInEveryModeColdAndWarm) {
   const CsrGraph& g = *shared_graph();
-  const auto fast = biased_random_walk(kLength);
-  const auto slow = as_dynamic(fast);
   const auto first = expand_single_seeds(spread_seeds(g, kInstances));
   const auto second = expand_single_seeds(spread_seeds(g, kInstances, 7));
 
-  for (const ModeCase& mode : mode_cases()) {
-    for (const std::uint32_t width : kWidths) {
-      SamplerOptions options = mode.options;
-      options.num_threads = width;
-      const std::string label =
-          mode.name + " threads=" + std::to_string(width);
-      Sampler fast_sampler(g, fast, options);
-      Sampler slow_sampler(g, slow, options);
-      // Cold table, then warm: the second run reuses every row the first
-      // one filled. Different tags keep the second run's draws fresh.
-      expect_same_run(fast_sampler.run_tagged(first, tags_from(0, kInstances)),
-                      slow_sampler.run_tagged(first, tags_from(0, kInstances)),
-                      label + " cold");
-      expect_same_run(
-          fast_sampler.run_tagged(second, tags_from(kBase, kInstances)),
-          slow_sampler.run_tagged(second, tags_from(kBase, kInstances)),
-          label + " warm");
+  for (const AlgorithmId id : kTableWalks) {
+    const auto fast = make_algorithm(id, kLength);
+    const auto slow = as_dynamic(fast);
+    // The paged engine rejects frontier-pool specs.
+    const bool pageable = in_memory_only_reason(fast.spec).empty();
+    for (const ModeCase& mode : mode_cases()) {
+      if (!pageable && (mode.options.mode == ExecutionMode::kOutOfMemory ||
+                        mode.options.memory_assumption ==
+                            MemoryAssumption::kExceeds)) {
+        continue;
+      }
+      for (const std::uint32_t width : kWidths) {
+        SamplerOptions options = mode.options;
+        options.num_threads = width;
+        const std::string label = algorithm_info(id).name + ", " +
+                                  mode.name +
+                                  " threads=" + std::to_string(width);
+        Sampler fast_sampler(g, fast, options);
+        Sampler slow_sampler(g, slow, options);
+        // Cold table, then warm: the second run reuses every row the
+        // first one filled. Different tags keep the second run's draws
+        // fresh.
+        expect_same_run(
+            fast_sampler.run_tagged(first, tags_from(0, kInstances)),
+            slow_sampler.run_tagged(first, tags_from(0, kInstances)),
+            label + " cold");
+        expect_same_run(
+            fast_sampler.run_tagged(second, tags_from(kBase, kInstances)),
+            slow_sampler.run_tagged(second, tags_from(kBase, kInstances)),
+            label + " warm");
+      }
     }
   }
 }
@@ -316,6 +362,38 @@ TEST(StaticBias, PolicyWithBothHooksIsRejected) {
   const CsrGraphView view(g);
   EXPECT_THROW(SamplingEngine(view, setup.policy, setup.spec), CheckError);
   EXPECT_THROW(ShardRouter(g, setup, ShardOptions{}), CheckError);
+}
+
+TEST(StaticBias, RowsFilledOverAnotherGraphAreRejected) {
+  // Equal vertex counts pass the engine's construction check, but the
+  // complete graph's rows hold 8 entries where the cycle's vertices have
+  // degree 2: drawing from such a row would index past the adjacency.
+  const CsrGraph complete = make_complete(8);
+  const CsrGraph cycle = make_cycle(8);
+  ASSERT_EQ(complete.num_vertices(), cycle.num_vertices());
+  const auto setup = simple_random_walk(4);
+  EngineConfig config;
+  config.static_ctps = make_static_ctps(complete, setup.policy, setup.spec);
+  ASSERT_NE(config.static_ctps, nullptr);
+  const CsrGraphView complete_view(complete);
+  std::vector<float> scratch;
+  for (VertexId v = 0; v < complete.num_vertices(); ++v) {
+    ASSERT_EQ(config.static_ctps->visit(complete_view, v, scratch).state,
+              StaticCtpsTable::State::kReady);
+  }
+
+  const CsrGraphView cycle_view(cycle);
+  SamplingEngine engine(cycle_view, setup.policy, setup.spec, config);
+  sim::Device device(0);
+  const std::vector<VertexId> seeds = {0, 3};
+  try {
+    engine.run_single_seed(device, seeds);
+    ADD_FAILURE() << "a row of another graph was used";
+  } catch (const CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("different graph"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(StaticBias, TableMustMatchTheGraph) {

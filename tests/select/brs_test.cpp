@@ -23,6 +23,16 @@
 namespace csaw {
 namespace {
 
+/// ItsSelector::select into a fresh vector.
+std::vector<std::uint32_t> select_into(
+    ItsSelector& selector, std::span<const float> biases, std::uint32_t k,
+    const CounterStream& rng, SelectCoords coords, sim::WarpContext& warp,
+    std::span<const std::uint32_t> pre_selected = {}) {
+  std::vector<std::uint32_t> out;
+  selector.select(biases, k, rng, coords, warp, out, pre_selected);
+  return out;
+}
+
 /// The Theorem 2 inverse transform: maps an updated-space draw u to the
 /// original CTPS coordinate.
 double brs_transform(double u, double l, double h) {
@@ -130,7 +140,7 @@ std::vector<std::uint64_t> sample_two_pick_counts(const SelectConfig& config,
   for (std::uint32_t i = 0; i < trials; ++i) {
     sim::WarpContext warp(stats);
     const auto picked =
-        selector.select(biases, 2, rng, SelectCoords{i, 0, 0}, warp);
+        select_into(selector, biases, 2, rng, SelectCoords{i, 0, 0}, warp);
     for (auto idx : picked) ++counts[idx];
   }
   return counts;

@@ -10,6 +10,16 @@
 namespace csaw {
 namespace {
 
+/// ItsSelector::select into a fresh vector.
+std::vector<std::uint32_t> select_into(
+    ItsSelector& selector, std::span<const float> biases, std::uint32_t k,
+    const CounterStream& rng, SelectCoords coords, sim::WarpContext& warp,
+    std::span<const std::uint32_t> pre_selected = {}) {
+  std::vector<std::uint32_t> out;
+  selector.select(biases, k, rng, coords, warp, out, pre_selected);
+  return out;
+}
+
 struct ItsCase {
   CollisionPolicy policy;
   DetectorKind detector;
@@ -34,7 +44,7 @@ TEST_P(ItsPolicies, SelectsDistinctIndices) {
   for (std::uint32_t trial = 0; trial < 200; ++trial) {
     sim::WarpContext warp(stats);
     const auto picked =
-        selector.select(biases, 4, rng, SelectCoords{trial, 0, 0}, warp);
+        select_into(selector, biases, 4, rng, SelectCoords{trial, 0, 0}, warp);
     ASSERT_EQ(picked.size(), 4u);
     const std::set<std::uint32_t> unique(picked.begin(), picked.end());
     EXPECT_EQ(unique.size(), 4u) << "duplicate selection in trial " << trial;
@@ -49,7 +59,7 @@ TEST_P(ItsPolicies, ClampsToPositiveCandidates) {
   sim::WarpContext warp(stats);
   const std::vector<float> biases = {0, 2, 0, 3, 0};
   const auto picked =
-      selector.select(biases, 4, rng, SelectCoords{0, 0, 0}, warp);
+      select_into(selector, biases, 4, rng, SelectCoords{0, 0, 0}, warp);
   ASSERT_EQ(picked.size(), 2u);  // only two positive candidates
   const std::set<std::uint32_t> got(picked.begin(), picked.end());
   EXPECT_EQ(got, (std::set<std::uint32_t>{1, 3}));
@@ -61,7 +71,8 @@ TEST_P(ItsPolicies, SelectAllIsAPermutation) {
   sim::KernelStats stats;
   sim::WarpContext warp(stats);
   const std::vector<float> biases = {1, 2, 3, 4, 5, 6};
-  auto picked = selector.select(biases, 6, rng, SelectCoords{0, 0, 0}, warp);
+  auto picked =
+      select_into(selector, biases, 6, rng, SelectCoords{0, 0, 0}, warp);
   std::sort(picked.begin(), picked.end());
   EXPECT_EQ(picked, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
 }
@@ -72,8 +83,8 @@ TEST_P(ItsPolicies, DeterministicForCoordinates) {
   CounterStream rng(777);
   sim::KernelStats stats;
   sim::WarpContext w1(stats), w2(stats);
-  const auto r1 = a.select(biases, 2, rng, SelectCoords{3, 1, 64}, w1);
-  const auto r2 = b.select(biases, 2, rng, SelectCoords{3, 1, 64}, w2);
+  const auto r1 = select_into(a, biases, 2, rng, SelectCoords{3, 1, 64}, w1);
+  const auto r2 = select_into(b, biases, 2, rng, SelectCoords{3, 1, 64}, w2);
   EXPECT_EQ(r1, r2);
 }
 
@@ -85,8 +96,10 @@ TEST_P(ItsPolicies, CoordinatesChangeOutcomeSomewhere) {
   bool any_difference = false;
   for (std::uint32_t i = 0; i < 16 && !any_difference; ++i) {
     sim::WarpContext w1(stats), w2(stats);
-    const auto a = selector.select(biases, 2, rng, SelectCoords{i, 0, 0}, w1);
-    const auto b = selector.select(biases, 2, rng, SelectCoords{i, 1, 0}, w2);
+    const auto a =
+        select_into(selector, biases, 2, rng, SelectCoords{i, 0, 0}, w1);
+    const auto b =
+        select_into(selector, biases, 2, rng, SelectCoords{i, 1, 0}, w2);
     any_difference = a != b;
   }
   EXPECT_TRUE(any_difference);
@@ -121,7 +134,7 @@ TEST(ItsWithReplacement, FollowsTheoremOneDistribution) {
   for (std::uint32_t i = 0; i < 30000; ++i) {
     sim::WarpContext warp(stats);
     const auto picked =
-        selector.select(biases, 1, rng, SelectCoords{i, 0, 0}, warp);
+        select_into(selector, biases, 1, rng, SelectCoords{i, 0, 0}, warp);
     ++counts[picked.at(0)];
   }
   const std::vector<double> expected = {3 / 15.0, 6 / 15.0, 2 / 15.0,
@@ -140,7 +153,7 @@ TEST(ItsWithReplacement, AllowsRepeats) {
   // One dominant candidate: repeats are near-certain.
   const std::vector<float> biases = {1000, 1};
   const auto picked =
-      selector.select(biases, 8, rng, SelectCoords{0, 0, 0}, warp);
+      select_into(selector, biases, 8, rng, SelectCoords{0, 0, 0}, warp);
   ASSERT_EQ(picked.size(), 8u);
   EXPECT_GT(std::count(picked.begin(), picked.end(), 0u), 1);
 }
@@ -154,7 +167,7 @@ TEST(ItsCounters, IterationsAndSampledArePopulated) {
   {
     sim::WarpContext warp(stats);
     const std::vector<float> biases = {100, 1, 1};  // collision-prone
-    selector.select(biases, 3, rng, SelectCoords{0, 0, 0}, warp);
+    select_into(selector, biases, 3, rng, SelectCoords{0, 0, 0}, warp);
   }
   EXPECT_EQ(stats.sampled_vertices, 3u);
   EXPECT_GE(stats.select_iterations, 3u);
@@ -175,7 +188,7 @@ TEST(ItsCounters, BipartiteNeedsFewerIterationsThanRepeated) {
     sim::KernelStats stats;
     for (std::uint32_t i = 0; i < 3000; ++i) {
       sim::WarpContext warp(stats);
-      selector.select(biases, 4, rng, SelectCoords{i, 0, 0}, warp);
+      select_into(selector, biases, 4, rng, SelectCoords{i, 0, 0}, warp);
     }
     return static_cast<double>(stats.select_iterations) /
            static_cast<double>(stats.sampled_vertices);
@@ -201,12 +214,13 @@ TEST(ItsPrebuilt, MatchesWithReplacementSelectAndCharges) {
     std::vector<std::uint32_t> built, prebuilt;
     {
       sim::WarpContext warp(built_stats);
-      built = selector.select(biases, k, rng, SelectCoords{k, 2, 9}, warp);
+      built =
+          select_into(selector, biases, k, rng, SelectCoords{k, 2, 9}, warp);
     }
     {
       sim::WarpContext warp(prebuilt_stats);
-      prebuilt =
-          selector.select_prebuilt(f, k, rng, SelectCoords{k, 2, 9}, warp);
+      selector.select_prebuilt(f, k, rng, SelectCoords{k, 2, 9}, warp,
+                               prebuilt);
     }
     EXPECT_EQ(prebuilt, built) << "k = " << k;
     EXPECT_EQ(prebuilt_stats.lockstep_rounds, built_stats.lockstep_rounds);
@@ -223,9 +237,50 @@ TEST(ItsEdgeCases, KZeroOrEmptyBiases) {
   CounterStream rng(1);
   sim::KernelStats stats;
   sim::WarpContext warp(stats);
+  EXPECT_TRUE(select_into(selector, std::vector<float>{1, 2}, 0, rng, {}, warp)
+                  .empty());
   EXPECT_TRUE(
-      selector.select(std::vector<float>{1, 2}, 0, rng, {}, warp).empty());
-  EXPECT_TRUE(selector.select(std::vector<float>{}, 3, rng, {}, warp).empty());
+      select_into(selector, std::vector<float>{}, 3, rng, {}, warp).empty());
+}
+
+TEST(ItsEdgeCases, OutVectorIsReplacedInItsOwnBuffer) {
+  // select() and select_prebuilt() replace the out-vector's contents and
+  // keep its buffer, so the engines' per-worker selection vector stops
+  // allocating once it has grown to k.
+  for (const bool with_replacement : {false, true}) {
+    SelectConfig config;
+    config.with_replacement = with_replacement;
+    ItsSelector selector(config);
+    CounterStream rng(5);
+    sim::KernelStats stats;
+    sim::WarpContext warp(stats);
+    const std::vector<float> biases = {1, 2, 3, 4};
+    std::vector<std::uint32_t> out = {9, 9, 9, 9, 9, 9, 9, 9};
+    const std::uint32_t* buffer = out.data();
+    selector.select(biases, 2, rng, SelectCoords{1, 0, 0}, warp, out);
+    EXPECT_EQ(out,
+              select_into(selector, biases, 2, rng, SelectCoords{1, 0, 0},
+                          warp));
+    EXPECT_EQ(out.data(), buffer);
+    selector.select(biases, 0, rng, SelectCoords{}, warp, out);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(out.data(), buffer);
+  }
+  SelectConfig config;
+  config.with_replacement = true;
+  ItsSelector selector(config);
+  CounterStream rng(5);
+  sim::KernelStats stats;
+  sim::WarpContext warp(stats);
+  const std::vector<float> biases = {1, 2, 3, 4};
+  std::vector<float> f(biases.size() + 1);
+  Ctps::fill(biases, f);
+  std::vector<std::uint32_t> out = {9, 9, 9, 9, 9, 9, 9, 9};
+  const std::uint32_t* buffer = out.data();
+  selector.select_prebuilt(f, 3, rng, SelectCoords{2, 0, 0}, warp, out);
+  EXPECT_EQ(out,
+            select_into(selector, biases, 3, rng, SelectCoords{2, 0, 0}, warp));
+  EXPECT_EQ(out.data(), buffer);
 }
 
 }  // namespace

@@ -13,6 +13,16 @@
 namespace csaw {
 namespace {
 
+/// ItsSelector::select into a fresh vector.
+std::vector<std::uint32_t> select_into(
+    ItsSelector& selector, std::span<const float> biases, std::uint32_t k,
+    const CounterStream& rng, SelectCoords coords, sim::WarpContext& warp,
+    std::span<const std::uint32_t> pre_selected = {}) {
+  std::vector<std::uint32_t> out;
+  selector.select(biases, k, rng, coords, warp, out, pre_selected);
+  return out;
+}
+
 struct PreloadCase {
   CollisionPolicy policy;
   DetectorKind detector;
@@ -38,7 +48,7 @@ TEST_P(PreloadPolicies, PreloadedCandidatesAreNeverSelected) {
 
   for (std::uint32_t trial = 0; trial < 500; ++trial) {
     sim::WarpContext warp(stats);
-    const auto picked = selector.select(biases, 3, rng,
+    const auto picked = select_into(selector, biases, 3, rng,
                                         SelectCoords{trial, 0, 0}, warp, pre);
     ASSERT_EQ(picked.size(), 3u);
     for (auto idx : picked) {
@@ -56,7 +66,7 @@ TEST_P(PreloadPolicies, KClampsToUnblockedCandidates) {
   const std::vector<float> biases = {1, 1, 1, 1};
   const std::vector<std::uint32_t> pre = {1, 3};
   const auto picked =
-      selector.select(biases, 4, rng, SelectCoords{0, 0, 0}, warp, pre);
+      select_into(selector, biases, 4, rng, SelectCoords{0, 0, 0}, warp, pre);
   const std::set<std::uint32_t> got(picked.begin(), picked.end());
   EXPECT_EQ(got, (std::set<std::uint32_t>{0, 2}));
 }
@@ -69,7 +79,7 @@ TEST_P(PreloadPolicies, EverythingPreloadedSelectsNothing) {
   const std::vector<float> biases = {2, 3};
   const std::vector<std::uint32_t> pre = {0, 1};
   EXPECT_TRUE(
-      selector.select(biases, 1, rng, SelectCoords{0, 0, 0}, warp, pre)
+      select_into(selector, biases, 1, rng, SelectCoords{0, 0, 0}, warp, pre)
           .empty());
 }
 
@@ -102,7 +112,7 @@ TEST(Preload, DistributionIsConditionalOnUnblocked) {
       {0, 0}, {2, 1}, {3, 2}, {4, 3}};
   for (std::uint32_t trial = 0; trial < 30000; ++trial) {
     sim::WarpContext warp(stats);
-    const auto picked = selector.select(biases, 1, rng,
+    const auto picked = select_into(selector, biases, 1, rng,
                                         SelectCoords{trial, 0, 0}, warp, pre);
     ASSERT_EQ(picked.size(), 1u);
     ++counts[index.at(picked[0])];
@@ -123,7 +133,7 @@ TEST(Preload, RaisesRepeatedSamplingIterations) {
   sim::KernelStats stats;
   for (std::uint32_t trial = 0; trial < 2000; ++trial) {
     sim::WarpContext warp(stats);
-    selector.select(biases, 1, rng, SelectCoords{trial, 0, 0}, warp, pre);
+    select_into(selector, biases, 1, rng, SelectCoords{trial, 0, 0}, warp, pre);
   }
   const double avg = static_cast<double>(stats.select_iterations) /
                      static_cast<double>(stats.sampled_vertices);
@@ -142,7 +152,7 @@ TEST(Preload, BipartiteResolvesBlockedMassInOneExtraProbe) {
   sim::KernelStats stats;
   for (std::uint32_t trial = 0; trial < 2000; ++trial) {
     sim::WarpContext warp(stats);
-    selector.select(biases, 1, rng, SelectCoords{trial, 0, 0}, warp, pre);
+    select_into(selector, biases, 1, rng, SelectCoords{trial, 0, 0}, warp, pre);
   }
   const double avg = static_cast<double>(stats.select_iterations) /
                      static_cast<double>(stats.sampled_vertices);
@@ -158,7 +168,7 @@ TEST(Preload, OutOfRangeIndexRejected) {
   const std::vector<float> biases = {1, 1};
   const std::vector<std::uint32_t> pre = {5};
   EXPECT_THROW(
-      selector.select(biases, 1, rng, SelectCoords{0, 0, 0}, warp, pre),
+      select_into(selector, biases, 1, rng, SelectCoords{0, 0, 0}, warp, pre),
       CheckError);
 }
 

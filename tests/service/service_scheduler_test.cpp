@@ -166,10 +166,16 @@ TEST(ServiceScheduler, TenantQuotaBoundsAFloodingTenant) {
   service.add_graph("v", std::make_shared<const CsrGraph>(
                              generate_rmat(1024, 8192, 99)));
 
-  // ~20ms of host work per noisy batch: the ordering assertions below
-  // tolerate two orders of magnitude of scheduler/wake latency.
-  Submission noisy1 = service.submit(walk_request("f1", 4, 4096, "noisy"));
-  Submission noisy2 = service.submit(walk_request("f2", 4, 4096, "noisy"));
+  // ~20ms of host work per noisy batch (4 walks of 32Ki steps): the
+  // ordering assertions below tolerate two orders of magnitude of
+  // scheduler/wake latency. A batch of a millisecond or so can retire
+  // before the dispatcher's next pass on a loaded machine, which fails
+  // both assertions without any quota violation.
+  constexpr std::uint32_t kFloodLength = 1u << 15;
+  Submission noisy1 =
+      service.submit(walk_request("f1", 4, kFloodLength, "noisy"));
+  Submission noisy2 =
+      service.submit(walk_request("f2", 4, kFloodLength, "noisy"));
   Submission quiet = service.submit(walk_request("v", 1, 2, "quiet"));
   ASSERT_TRUE(noisy1.accepted() && noisy2.accepted() && quiet.accepted());
   service.resume();
