@@ -297,7 +297,7 @@ SampleRun SamplingEngine::run(sim::Device& device,
   }
 
   SampleRun run_result;
-  run_result.samples.reset(num_instances);
+  run_result.samples.reset(num_instances, spec_.fixed_row_length());
   if (config_.on_instance_complete) {
     run_result.samples.set_completion_callback(config_.on_instance_complete);
   }

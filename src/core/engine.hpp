@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/frontier_queue.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
 #include "core/run_result.hpp"
@@ -73,6 +74,18 @@ struct SamplingSpec {
     if (sample_all_neighbors) return 0;
     if (branching_cap > 0) return branching_cap;
     return variable_neighbor_size ? 0 : neighbor_size;
+  }
+
+  /// Sampled edges per single-seed instance when the spec fixes them up
+  /// front: a walk-shaped spec (one neighbor per step from a one-vertex
+  /// frontier) samples at most one edge per step, depth × neighbor_size
+  /// in all. 0 when the count depends on the graph (branching traversal).
+  /// The engines size each sample row to it (SampleStore::reset).
+  std::size_t fixed_row_length() const noexcept {
+    const bool walk = neighbor_size == 1 && frontier_size == 1 &&
+                      !sample_all_neighbors && !layer_mode &&
+                      !variable_neighbor_size;
+    return walk ? std::size_t{depth} * neighbor_size : 0;
   }
 };
 
@@ -284,6 +297,10 @@ struct WorkerScratch {
   /// of its current step.
   std::vector<std::uint32_t> positions;
   std::vector<TaskResult> results;
+  /// The out-of-memory chain's current batch of entries and the
+  /// next-depth entries of the one it is processing.
+  std::vector<FrontierEntry> batch;
+  std::vector<FrontierEntry> children;
 
   explicit WorkerScratch(const SelectConfig& neighbor)
       : neighbor_selector(neighbor) {}

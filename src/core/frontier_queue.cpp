@@ -2,12 +2,11 @@
 
 namespace csaw {
 
-std::vector<FrontierEntry> FrontierQueue::drain() {
-  std::vector<FrontierEntry> out;
+void FrontierQueue::drain(std::vector<FrontierEntry>& out) {
+  out.clear();
   out.reserve(size());
   for (std::size_t i = 0; i < size(); ++i) out.push_back(at(i));
   clear();
-  return out;
 }
 
 }  // namespace csaw

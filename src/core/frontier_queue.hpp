@@ -58,8 +58,9 @@ class FrontierQueue {
     prevs_.clear();
   }
 
-  /// Moves all entries out, leaving the queue empty.
-  std::vector<FrontierEntry> drain();
+  /// Moves all entries into `out` (replacing its contents), leaving the
+  /// queue empty. The caller owns `out`, so a drain reuses its capacity.
+  void drain(std::vector<FrontierEntry>& out);
 
   /// Memory footprint of the queue arrays (device-resident in the paper).
   std::uint64_t bytes() const noexcept {

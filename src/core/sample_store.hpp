@@ -37,8 +37,16 @@ class SampleStore {
     reset(num_instances);
   }
 
-  void reset(std::uint32_t num_instances) {
+  /// Empties the store to `num_instances` rows. A nonzero `row_capacity`
+  /// (the engines pass SamplingSpec::fixed_row_length) is reserved by
+  /// each row's first add, so a walk's row never reallocates as it
+  /// grows; 0 leaves rows to grow on demand. The reservation waits for
+  /// the first edge so it happens on the worker that fills the row:
+  /// reserving every row up front on the calling thread measured about
+  /// 10% slower on 1000 × 200 biased walks at 4 threads.
+  void reset(std::uint32_t num_instances, std::size_t row_capacity = 0) {
     edges_.assign(num_instances, {});
+    row_capacity_ = row_capacity;
     if (on_complete_) completed_.assign(num_instances, 0);
   }
 
@@ -80,7 +88,9 @@ class SampleStore {
   }
 
   void add(std::uint32_t instance, const Edge& e) {
-    edges_[instance].push_back(e);
+    std::vector<Edge>& row = edges_[instance];
+    if (row.empty()) row.reserve(row_capacity_);
+    row.push_back(e);
   }
 
   /// Moves one instance's whole edge list out, leaving that row empty.
@@ -115,6 +125,8 @@ class SampleStore {
 
  private:
   std::vector<std::vector<Edge>> edges_;
+  /// Capacity each row reserves at its first add (reset).
+  std::size_t row_capacity_ = 0;
   CompletionCallback on_complete_;
   /// One fired-flag per instance while a callback is installed (complete
   /// must fire exactly once per instance).

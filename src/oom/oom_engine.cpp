@@ -94,11 +94,12 @@ OomRun OomEngine::run(sim::Device& device,
   }
 
   OomRun result;
-  result.samples.reset(num_instances);
+  result.samples.reset(num_instances, spec_.fixed_row_length());
   samples_ = &result.samples;
 
   queues_.assign(config_.num_partitions, FrontierQueue{});
   chain_of_.assign(num_instances, ~0u);
+  slot_of_.assign(config_.num_partitions, ~0u);
   streaming_ = static_cast<bool>(config_.engine.on_instance_complete);
   if (streaming_) {
     result.samples.set_completion_callback(config_.engine.on_instance_complete);
@@ -203,68 +204,47 @@ void OomEngine::schedule_until_drained(sim::Device& device, OomRun& result,
                                        RunningStat& imbalance) {
   for (;;) {
     // --- Plan: which partitions get the device this round (1 in Fig. 8).
-    std::vector<std::uint32_t> candidates;
+    std::vector<std::uint32_t> resident;
     for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
-      if (!queues_[p].empty()) candidates.push_back(p);
+      if (!queues_[p].empty()) resident.push_back(p);
     }
-    if (candidates.empty()) break;
+    if (resident.empty()) break;
 
-    RoundPlan plan;
     if (config_.workload_aware) {
       // Most active vertices first (stable for determinism).
-      std::stable_sort(candidates.begin(), candidates.end(),
+      std::stable_sort(resident.begin(), resident.end(),
                        [this](std::uint32_t a, std::uint32_t b) {
                          return queues_[a].size() > queues_[b].size();
                        });
-      candidates.resize(std::min<std::size_t>(candidates.size(),
-                                              config_.resident_partitions));
-      plan.partitions = candidates;
+      resident.resize(std::min<std::size_t>(resident.size(),
+                                            config_.resident_partitions));
     } else {
       // Baseline: next active partitions in id order from a cursor.
+      resident.clear();
       for (std::uint32_t step = 0;
            step < config_.num_partitions &&
-           plan.partitions.size() < config_.resident_partitions;
+           resident.size() < config_.resident_partitions;
            ++step) {
         const std::uint32_t p =
             (round_robin_cursor + step) % config_.num_partitions;
-        if (!queues_[p].empty()) plan.partitions.push_back(p);
+        if (!queues_[p].empty()) resident.push_back(p);
       }
-      round_robin_cursor =
-          (plan.partitions.back() + 1) % config_.num_partitions;
+      round_robin_cursor = (resident.back() + 1) % config_.num_partitions;
     }
 
-    // --- Thread-block based workload balancing (3 in Fig. 8): SM share
-    // proportional to active vertices; baseline splits evenly.
-    const std::size_t chosen = plan.partitions.size();
-    plan.fractions.assign(chosen, 1.0 / static_cast<double>(chosen));
-    if (config_.block_balancing && chosen > 1) {
-      double total = 0.0;
-      for (std::uint32_t p : plan.partitions) {
-        total += static_cast<double>(queues_[p].size());
-      }
-      for (std::size_t i = 0; i < chosen; ++i) {
-        plan.fractions[i] =
-            std::max(0.05, static_cast<double>(queues_[plan.partitions[i]].size()) / total);
-      }
-      const double sum =
-          std::accumulate(plan.fractions.begin(), plan.fractions.end(), 0.0);
-      for (double& f : plan.fractions) f /= sum;
-    }
+    // --- Thread-block based workload balancing (3 in Fig. 8).
+    const std::size_t chosen = resident.size();
+    const std::vector<double> fractions = sm_fractions(resident);
 
     // --- Transfer each chosen partition onto its stream (2 in Fig. 8);
     // transfers share the host link, kernels share SMs by fraction.
     for (std::size_t i = 0; i < chosen; ++i) {
-      const std::uint32_t p = plan.partitions[i];
+      const std::uint32_t p = resident[i];
       sim::Stream& stream = device.stream(i % config_.num_streams);
       device.transfer().host_to_device(stream, parts_->part(p).bytes(),
                                        "partition " + std::to_string(p));
       ++result.metrics.partition_transfers;
       result.metrics.bytes_transferred += parts_->part(p).bytes();
-    }
-
-    if (config_.engine.schedule == Schedule::kPipelined) {
-      run_residency_pipelined(device, plan, result, imbalance);
-      continue;
     }
 
     // --- Sample the resident partitions. All chosen partitions are
@@ -274,36 +254,44 @@ void OomEngine::schedule_until_drained(sim::Device& device, OomRun& result,
     // are consumed within the same residency (paper §V-B). The baseline
     // processes a single wave per transfer.
     std::vector<double> kernel_time(chosen, 0.0);
-    const std::size_t log_mark = device.kernel_log().size();
-    bool progress = true;
-    while (progress) {
-      progress = false;
+    if (config_.engine.schedule == Schedule::kPipelined) {
+      // One fused kernel per resident partition, on the stream (and at
+      // the SM fraction) its waves would have used.
+      const auto kernels = run_round(device, resident);
       for (std::size_t i = 0; i < chosen; ++i) {
-        const std::uint32_t p = plan.partitions[i];
-        if (queues_[p].empty()) continue;
-        sim::Stream& stream = device.stream(i % config_.num_streams);
-        run_wave(device, stream, p, plan.fractions[i], result.metrics);
-        progress = config_.workload_aware;
+        kernel_time[i] =
+            device
+                .record_pipelined("oom_sample_p" + std::to_string(resident[i]),
+                                  device.stream(i % config_.num_streams),
+                                  fractions[i], kernels[i])
+                .duration();
+        ++result.metrics.kernel_launches;
       }
-    }
-    for (std::size_t k = log_mark; k < device.kernel_log().size(); ++k) {
-      const auto& record = device.kernel_log()[k];
-      for (std::size_t i = 0; i < chosen; ++i) {
-        if (record.name ==
-            "oom_sample_p" + std::to_string(plan.partitions[i])) {
-          kernel_time[i] += record.duration();
+      complete_round_chains();
+    } else {
+      const std::size_t log_mark = device.kernel_log().size();
+      bool progress = true;
+      while (progress) {
+        progress = false;
+        for (std::size_t i = 0; i < chosen; ++i) {
+          const std::uint32_t p = resident[i];
+          if (queues_[p].empty()) continue;
+          sim::Stream& stream = device.stream(i % config_.num_streams);
+          run_wave(device, stream, p, fractions[i], result.metrics);
+          progress = config_.workload_aware;
+        }
+      }
+      for (std::size_t k = log_mark; k < device.kernel_log().size(); ++k) {
+        const auto& record = device.kernel_log()[k];
+        for (std::size_t i = 0; i < chosen; ++i) {
+          if (record.name == "oom_sample_p" + std::to_string(resident[i])) {
+            kernel_time[i] += record.duration();
+          }
         }
       }
     }
     ++result.metrics.scheduling_rounds;
-
-    if (chosen >= 2) {
-      RunningStat per_round;
-      for (double t : kernel_time) per_round.add(t);
-      if (per_round.mean() > 0.0) {
-        imbalance.add(per_round.stddev() / per_round.mean());
-      }
-    }
+    record_imbalance(kernel_time, imbalance);
   }
 }
 
@@ -312,71 +300,110 @@ OomRun OomEngine::run_single_seed(sim::Device& device,
   return run(device, expand_single_seeds(seeds));
 }
 
-void OomEngine::run_residency_pipelined(sim::Device& device,
-                                        const RoundPlan& plan, OomRun& result,
-                                        RunningStat& imbalance) {
-  const std::size_t chosen = plan.partitions.size();
-  constexpr std::uint32_t kNotResident = ~0u;
-  std::vector<std::uint32_t> slot_of(config_.num_partitions, kNotResident);
-  for (std::size_t i = 0; i < chosen; ++i) slot_of[plan.partitions[i]] = i;
+std::vector<double> OomEngine::sm_fractions(
+    std::span<const std::uint32_t> resident) const {
+  const std::size_t chosen = resident.size();
+  std::vector<double> fractions(chosen, 1.0 / static_cast<double>(chosen));
+  if (config_.block_balancing && chosen > 1) {
+    double total = 0.0;
+    for (std::uint32_t p : resident) {
+      total += static_cast<double>(queues_[p].size());
+    }
+    for (std::size_t i = 0; i < chosen; ++i) {
+      fractions[i] = std::max(
+          0.05, static_cast<double>(queues_[resident[i]].size()) / total);
+    }
+    const double sum =
+        std::accumulate(fractions.begin(), fractions.end(), 0.0);
+    for (double& f : fractions) f /= sum;
+  }
+  return fractions;
+}
 
-  // Drain the chosen queues once and split by instance: pending[c][i]
-  // holds chain c's unprocessed entries in residency slot i, the
-  // chain-owned replacement for the shared partition queues. Chains are
-  // allocated only for instances that actually have resident entries
-  // (instances drain at different rates, so most are idle in late
-  // rounds); chain_of_ is sized once per run and reset via the chain
-  // list below, keeping each round's work proportional to its entries.
+void OomEngine::record_imbalance(std::span<const double> durations,
+                                 RunningStat& imbalance) {
+  if (durations.size() < 2) return;
+  RunningStat per_round;
+  for (const double t : durations) per_round.add(t);
+  if (per_round.mean() > 0.0) {
+    imbalance.add(per_round.stddev() / per_round.mean());
+  }
+}
+
+std::vector<sim::Device::PipelinedKernel> OomEngine::run_round(
+    sim::Device& device, std::span<const std::uint32_t> resident) {
+  const std::size_t chosen = resident.size();
+  constexpr std::uint32_t kNotResident = ~0u;
   constexpr std::uint32_t kNoChain = ~0u;
+  for (std::size_t i = 0; i < chosen; ++i) {
+    slot_of_[resident[i]] = static_cast<std::uint32_t>(i);
+  }
+
+  // Drain the resident queues once and split by instance: a chain's
+  // pending[i] holds its unprocessed entries in residency slot i, the
+  // chain-owned replacement for the shared partition queues. Chains form
+  // only for instances that actually have resident entries (instances
+  // drain at different rates, so most are idle in late rounds), keeping
+  // each round's work proportional to its entries.
   const bool may_cancel = config_.engine.may_cancel();
-  std::vector<std::uint32_t> chain_instances;
-  std::vector<std::vector<std::vector<FrontierEntry>>> pending;
+  num_chains_ = 0;
   std::uint64_t entries = 0;  // each is at least one warp-task this round
   for (std::size_t i = 0; i < chosen; ++i) {
-    for (const FrontierEntry& e : queues_[plan.partitions[i]].drain()) {
+    queues_[resident[i]].drain(drained_);
+    for (const FrontierEntry& e : drained_) {
       // Streaming bookkeeping first: a drained entry leaves the queues
       // whether the chain processes it or the cancel skip drops it.
       if (streaming_) --queued_[e.local];
       // Queued work of a cancelled instance is dropped at the drain —
       // its chain never forms; no other instance's entries move.
       if (may_cancel && config_.engine.instance_cancelled(e.local)) continue;
-      const std::uint32_t local = e.local;
-      if (chain_of_[local] == kNoChain) {
-        chain_of_[local] = static_cast<std::uint32_t>(chain_instances.size());
-        chain_instances.push_back(local);
-        pending.emplace_back(chosen);
+      if (chain_of_[e.local] == kNoChain) {
+        chain_of_[e.local] = static_cast<std::uint32_t>(num_chains_);
+        if (num_chains_ == chains_.size()) chains_.emplace_back();
+        Chain& chain = chains_[num_chains_++];
+        chain.instance = e.local;
+        if (chain.pending.size() < chosen) chain.pending.resize(chosen);
+        for (std::size_t s = 0; s < chosen; ++s) chain.pending[s].clear();
+        chain.routed_out.clear();
       }
-      pending[chain_of_[local]][i].push_back(e);
+      chains_[chain_of_[e.local]].pending[i].push_back(e);
       ++entries;
     }
   }
-  std::vector<std::vector<FrontierEntry>> routed_out(chain_instances.size());
 
   // One chain per instance. A chain's pass structure mirrors the
-  // barriered wave loop exactly — resident slots in plan order, each
-  // batch sorted by (depth, slot), repeated until drained (workload-aware)
-  // or once (baseline) — but only over the chain's own entries, so the
+  // barriered wave loop exactly — resident slots in order, each batch
+  // sorted by (depth, slot), repeated until drained (workload-aware) or
+  // once (baseline) — but only over the chain's own entries, so the
   // per-instance visited/prev_vertex mutation order matches kStepBarrier
   // and the samples are byte-identical.
-  const auto kernels = device.execute_pipelined(
-      static_cast<std::uint32_t>(chosen), chain_instances.size(),
-      [&](std::uint64_t chain, sim::ChainContext& ctx, std::uint32_t worker) {
-        auto& mine = pending[chain];
-        auto& out = routed_out[chain];
+  auto kernels = device.execute_pipelined(
+      static_cast<std::uint32_t>(chosen), num_chains_,
+      [&](std::uint64_t c, sim::ChainContext& ctx, std::uint32_t worker) {
+        Chain& chain = chains_[c];
         WorkerScratch& ws = workers_[worker];
-        std::vector<FrontierEntry> batch;
-        std::vector<FrontierEntry> children;
+        // One chain span per (round, instance) — OOM chains re-enter
+        // each residency round, unlike the in-memory engine's
+        // one-span-per-instance shape. Host-time only.
+        std::uint64_t chain_span = 0;
+        if (config_.engine.should_trace()) {
+          chain_span = config_.engine.trace->begin_span(
+              "chain",
+              {{"instance", std::to_string(config_.engine.global_instance_id(
+                                chain.instance))},
+               {"batch", std::to_string(config_.engine.trace_batch)}});
+        }
 
         const auto process_one = [&](std::uint32_t p, const FrontierEntry& e,
                                      sim::WarpContext& warp) {
-          children.clear();
-          process_entry(p, e, warp, ws, children);
-          for (const FrontierEntry& child : children) {
-            const std::uint32_t slot = slot_of[parts_->part_of(child.vertex)];
+          ws.children.clear();
+          process_entry(p, e, warp, ws, ws.children);
+          for (const FrontierEntry& child : ws.children) {
+            const std::uint32_t slot = slot_of_[parts_->part_of(child.vertex)];
             if (slot == kNotResident) {
-              out.push_back(child);
+              chain.routed_out.push_back(child);
             } else {
-              mine[slot].push_back(child);
+              chain.pending[slot].push_back(child);
             }
           }
         };
@@ -386,23 +413,23 @@ void OomEngine::run_residency_pipelined(sim::Device& device,
           // Cancellation poll at the pass boundary: this chain belongs to
           // exactly one instance, so dropping its remaining work touches
           // no other chain's state or draws.
-          if (may_cancel &&
-              config_.engine.instance_cancelled(chain_instances[chain])) {
-            for (auto& m : mine) m.clear();
-            out.clear();
+          if (may_cancel && config_.engine.instance_cancelled(chain.instance)) {
+            for (std::size_t i = 0; i < chosen; ++i) chain.pending[i].clear();
+            chain.routed_out.clear();
             break;
           }
           progressed = false;
           for (std::size_t i = 0; i < chosen; ++i) {
-            if (mine[i].empty()) continue;
+            if (chain.pending[i].empty()) continue;
+            std::vector<FrontierEntry>& batch = ws.batch;
             batch.clear();
-            batch.swap(mine[i]);
+            batch.swap(chain.pending[i]);
             std::sort(batch.begin(), batch.end(),
                       [](const FrontierEntry& a, const FrontierEntry& b) {
                         if (a.depth != b.depth) return a.depth < b.depth;
                         return a.slot < b.slot;
                       });
-            const std::uint32_t p = plan.partitions[i];
+            const std::uint32_t p = resident[i];
             const auto slot = static_cast<std::uint32_t>(i);
             if (config_.batched) {
               // Vertex-grained: one warp-task per entry (§V-C).
@@ -421,58 +448,52 @@ void OomEngine::run_residency_pipelined(sim::Device& device,
             progressed = config_.workload_aware;
           }
         }
+        if (config_.engine.should_trace()) {
+          config_.engine.trace->end_span(
+              chain_span, "chain",
+              {{"routed_out", std::to_string(chain.routed_out.size())}});
+        }
       },
       config_.engine.cancel, entries);
-
-  // Record one fused kernel per resident partition on the stream (and at
-  // the SM fraction) its waves would have used.
-  RunningStat per_round;
-  for (std::size_t i = 0; i < chosen; ++i) {
-    sim::Stream& stream = device.stream(i % config_.num_streams);
-    const auto& record = device.record_pipelined(
-        "oom_sample_p" + std::to_string(plan.partitions[i]), stream,
-        plan.fractions[i], kernels[i]);
-    per_round.add(record.duration());
-    ++result.metrics.kernel_launches;
-  }
-  ++result.metrics.scheduling_rounds;
-  if (chosen >= 2 && per_round.mean() > 0.0) {
-    imbalance.add(per_round.stddev() / per_round.mean());
-  }
 
   // Merge leftover and outbound entries back into the partition queues in
   // chain order — queue contents end up byte-identical to the barriered
   // schedule (every consumer sorts by (instance, depth, slot), so only
   // the multiset matters).
-  for (std::size_t c = 0; c < chain_instances.size(); ++c) {
+  for (std::size_t c = 0; c < num_chains_; ++c) {
+    const Chain& chain = chains_[c];
     std::size_t returned = 0;
     for (std::size_t i = 0; i < chosen; ++i) {
-      for (const FrontierEntry& e : pending[c][i]) {
-        queues_[plan.partitions[i]].push(e);
+      for (const FrontierEntry& e : chain.pending[i]) {
+        queues_[resident[i]].push(e);
       }
-      returned += pending[c][i].size();
+      returned += chain.pending[i].size();
     }
-    for (const FrontierEntry& e : routed_out[c]) {
+    for (const FrontierEntry& e : chain.routed_out) {
       queues_[parts_->part_of(e.vertex)].push(e);
     }
-    returned += routed_out[c].size();
+    returned += chain.routed_out.size();
     if (streaming_) {
-      queued_[chain_instances[c]] += static_cast<std::uint32_t>(returned);
+      queued_[chain.instance] += static_cast<std::uint32_t>(returned);
     }
-    chain_of_[chain_instances[c]] = kNoChain;
+    chain_of_[chain.instance] = kNoChain;
   }
+  for (const std::uint32_t p : resident) slot_of_[p] = kNotResident;
+  return kernels;
+}
 
-  // Streaming flush point: an instance whose outstanding-entry count hit
-  // zero has no work left in any partition queue — its sample is final
-  // now, not merely when the whole run drains. (Chain-local emptiness
-  // alone would be wrong: entries can sit in queues of partitions not
-  // chosen this round.)
-  if (streaming_) {
-    for (const std::uint32_t local : chain_instances) {
-      if (queued_[local] != 0 || samples_->completed(local)) continue;
-      if (may_cancel && config_.engine.instance_cancelled(local)) continue;
-      samples_->complete(local);
-    }
+void OomEngine::complete_round_chains() {
+  // An instance whose outstanding-entry count hit zero has no work left
+  // in any partition queue — its sample is final now, not merely when the
+  // whole run drains. (Chain-local emptiness alone would be wrong:
+  // entries can sit in queues of partitions not resident this round.)
+  if (!streaming_) return;
+  const bool may_cancel = config_.engine.may_cancel();
+  for (std::size_t c = 0; c < num_chains_; ++c) {
+    const std::uint32_t local = chains_[c].instance;
+    if (queued_[local] != 0 || samples_->completed(local)) continue;
+    if (may_cancel && config_.engine.instance_cancelled(local)) continue;
+    samples_->complete(local);
   }
 }
 
@@ -480,10 +501,6 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
                                      RunningStat& imbalance) {
   PartitionCache& cache = *cache_;
   std::vector<std::size_t> pending(config_.num_partitions, 0);
-  constexpr std::uint32_t kNoChain = ~0u;
-  constexpr std::uint32_t kNotResident = ~0u;
-  std::vector<std::uint32_t> slot_of(config_.num_partitions, kNotResident);
-  const bool may_cancel = config_.engine.may_cancel();
 
   for (;;) {
     for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
@@ -531,7 +548,6 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
     std::vector<double> ready(chosen_count, 0.0);
     for (std::size_t i = 0; i < chosen_count; ++i) {
       ready[i] = cache.acquire(chosen[i], device, pending, &result.metrics);
-      slot_of[chosen[i]] = static_cast<std::uint32_t>(i);
     }
     for (const std::uint32_t p : order) {
       if (cache.on_device(p)) continue;  // also skips every chosen one
@@ -539,220 +555,54 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
       break;
     }
 
-    // SM shares mirror the legacy plan: proportional to queued work under
-    // block balancing, even otherwise.
-    std::vector<double> fractions(chosen_count,
-                                  1.0 / static_cast<double>(chosen_count));
-    if (config_.block_balancing && chosen_count > 1) {
-      double total = 0.0;
-      for (std::uint32_t p : chosen) {
-        total += static_cast<double>(pending[p]);
-      }
-      for (std::size_t i = 0; i < chosen_count; ++i) {
-        fractions[i] = std::max(
-            0.05, static_cast<double>(pending[chosen[i]]) / total);
-      }
-      const double sum =
-          std::accumulate(fractions.begin(), fractions.end(), 0.0);
-      for (double& f : fractions) f /= sum;
-    }
+    const std::vector<double> fractions = sm_fractions(chosen);
+    const auto kernels = run_round(device, chosen);
 
-    // Split the chosen queues by instance into chains, exactly like
-    // run_residency_pipelined: each chain consumes its own entries in
-    // (depth, slot) order — a per-instance order no residency schedule
-    // changes — and entries routed between co-resident partitions are
-    // consumed within the same round.
-    std::vector<std::uint32_t> chain_instances;
-    std::vector<std::vector<std::vector<FrontierEntry>>> chain_pending;
-    std::uint64_t entries = 0;  // each is at least one warp-task this round
-    for (std::size_t i = 0; i < chosen_count; ++i) {
-      for (const FrontierEntry& e : queues_[chosen[i]].drain()) {
-        // Streaming bookkeeping first: the entry leaves the queues either
-        // way (processed or dropped by the cancel skip).
-        if (streaming_) --queued_[e.local];
-        // Cancelled instances' pending entries are dropped at the round
-        // boundary; surviving instances' processing order is untouched.
-        if (may_cancel && config_.engine.instance_cancelled(e.local)) continue;
-        if (chain_of_[e.local] == kNoChain) {
-          chain_of_[e.local] =
-              static_cast<std::uint32_t>(chain_instances.size());
-          chain_instances.push_back(e.local);
-          chain_pending.emplace_back(chosen_count);
-        }
-        chain_pending[chain_of_[e.local]][i].push_back(e);
-        ++entries;
-      }
-    }
-    const std::size_t num_chains = chain_instances.size();
-    std::vector<std::vector<FrontierEntry>> routed_out(num_chains);
-
-    const auto kernels = device.execute_pipelined(
-        static_cast<std::uint32_t>(chosen_count), num_chains,
-        [&](std::uint64_t chain, sim::ChainContext& ctx,
-            std::uint32_t worker) {
-          auto& mine = chain_pending[chain];
-          auto& out = routed_out[chain];
-          WorkerScratch& ws = workers_[worker];
-          // One chain span per (round, instance) — OOM chains re-enter
-          // each residency round, unlike the in-memory engine's
-          // one-span-per-instance shape. Host-time only.
-          std::uint64_t chain_span = 0;
-          if (config_.engine.should_trace()) {
-            chain_span = config_.engine.trace->begin_span(
-                "chain",
-                {{"instance",
-                  std::to_string(config_.engine.global_instance_id(
-                      chain_instances[chain]))},
-                 {"batch", std::to_string(config_.engine.trace_batch)}});
-          }
-          std::vector<FrontierEntry> batch;
-          std::vector<FrontierEntry> children;
-
-          const auto process_one = [&](std::uint32_t p,
-                                       const FrontierEntry& e,
-                                       sim::WarpContext& warp) {
-            children.clear();
-            process_entry(p, e, warp, ws, children);
-            for (const FrontierEntry& child : children) {
-              const std::uint32_t slot =
-                  slot_of[parts_->part_of(child.vertex)];
-              if (slot == kNotResident) {
-                out.push_back(child);
-              } else {
-                mine[slot].push_back(child);
-              }
-            }
-          };
-
-          bool progressed = true;
-          for (std::uint64_t pass = 0; progressed; ++pass) {
-            // Cooperative cancellation poll at the pass boundary: the
-            // chain abandons its remaining entries (and anything already
-            // routed out) without touching other chains' work.
-            if (may_cancel &&
-                config_.engine.instance_cancelled(chain_instances[chain])) {
-              for (auto& m : mine) m.clear();
-              out.clear();
-              break;
-            }
-            progressed = false;
-            for (std::size_t i = 0; i < chosen_count; ++i) {
-              if (mine[i].empty()) continue;
-              batch.clear();
-              batch.swap(mine[i]);
-              std::sort(batch.begin(), batch.end(),
-                        [](const FrontierEntry& a, const FrontierEntry& b) {
-                          if (a.depth != b.depth) return a.depth < b.depth;
-                          return a.slot < b.slot;
-                        });
-              const std::uint32_t p = chosen[i];
-              const auto slot = static_cast<std::uint32_t>(i);
-              if (config_.batched) {
-                for (const FrontierEntry& e : batch) {
-                  ctx.run_task(slot, pass, [&](sim::WarpContext& warp) {
-                    process_one(p, e, warp);
-                  });
-                }
-              } else {
-                ctx.run_task(slot, pass, [&](sim::WarpContext& warp) {
-                  for (const FrontierEntry& e : batch) {
-                    process_one(p, e, warp);
-                  }
-                });
-              }
-              progressed = config_.workload_aware;
-            }
-          }
-          if (config_.engine.should_trace()) {
-            config_.engine.trace->end_span(
-                chain_span, "chain",
-                {{"routed_out", std::to_string(out.size())}});
-          }
-        },
-        config_.engine.cancel, entries);
-
-    // --- Cross-residency timing, under the same conventions as the
-    // legacy run_residency_pipelined: one fused kernel window per
-    // resident partition on its slot's stream, duration from the merged
-    // chain stats at the slot's SM fraction. The difference is the start:
-    // a window opens at max(bytes-ready, stream-ready), and a warm hit's
-    // bytes are ready immediately — so warm partitions compute while the
-    // round's cold transfers (and the prefetch behind them) are still on
-    // the link, where the legacy plan re-pays the link for every chosen
-    // partition before its window can open. No residency-boundary
-    // barrier appears anywhere: rounds chain per stream, not globally.
+    // --- Cross-residency timing, under the legacy plan's conventions:
+    // one fused kernel window per resident partition on its slot's
+    // stream, duration from the merged chain stats at the slot's SM
+    // fraction. The difference is the start: a window opens at
+    // max(bytes-ready, stream-ready), and a warm hit's bytes are ready
+    // immediately — so warm partitions compute while the round's cold
+    // transfers (and the prefetch behind them) are still on the link,
+    // where the legacy plan re-pays the link for every chosen partition
+    // before its window can open. No residency-boundary barrier appears
+    // anywhere: rounds chain per stream, not globally.
     std::vector<double> durations(chosen_count, 0.0);
-    for (std::size_t i = 0; i < chosen_count; ++i) {
-      durations[i] = kernels[i].num_tasks == 0
-                         ? 0.0
-                         : device.cost_model().kernel_seconds(
-                               kernels[i].stats, fractions[i]);
-    }
-    RunningStat per_round;
     double round_end = 0.0;
     for (std::size_t i = 0; i < chosen_count; ++i) {
+      if (kernels[i].num_tasks != 0) {
+        durations[i] = device.cost_model().kernel_seconds(kernels[i].stats,
+                                                          fractions[i]);
+      }
       sim::Stream& stream = device.stream(cache.stream_index(chosen[i]));
       const double window_start = std::max(ready[i], stream.ready_time());
       const double window_end = window_start + durations[i];
       device.record_pipelined_span(
           "oom_cached_p" + std::to_string(chosen[i]), stream, fractions[i],
           kernels[i], window_start, window_end);
-      per_round.add(durations[i]);
       round_end = std::max(round_end, window_end);
       ++result.metrics.kernel_launches;
     }
     ++result.metrics.scheduling_rounds;
-    if (chosen_count >= 2 && per_round.mean() > 0.0) {
-      imbalance.add(per_round.stddev() / per_round.mean());
-    }
+    record_imbalance(durations, imbalance);
 
-    // Merge leftovers and outbound entries back in chain order (byte-
-    // identical queue contents to the legacy schedules — every consumer
-    // sorts, so only the multiset matters).
-    for (std::size_t c = 0; c < num_chains; ++c) {
-      std::size_t returned = 0;
-      for (std::size_t i = 0; i < chosen_count; ++i) {
-        for (const FrontierEntry& e : chain_pending[c][i]) {
-          queues_[chosen[i]].push(e);
-        }
-        returned += chain_pending[c][i].size();
-      }
-      for (const FrontierEntry& e : routed_out[c]) {
-        queues_[parts_->part_of(e.vertex)].push(e);
-      }
-      returned += routed_out[c].size();
-      if (streaming_) {
-        queued_[chain_instances[c]] += static_cast<std::uint32_t>(returned);
-      }
-      chain_of_[chain_instances[c]] = kNoChain;
-    }
-
-    for (const std::uint32_t p : chosen) {
-      slot_of[p] = kNotResident;
-      cache.release(p);
-    }
+    for (const std::uint32_t p : chosen) cache.release(p);
     cache.settle(round_end);
     round_guard.commit();
 
-    // Streaming flush point, after the round's pins are released: fire
-    // completion for every instance of this round whose outstanding-entry
-    // count reached zero — no entries left in any partition queue means
-    // its sample is final. A blocked subscriber parks the driver in host
-    // time only; the round's simulated timeline is already settled.
-    if (streaming_) {
-      for (const std::uint32_t local : chain_instances) {
-        if (queued_[local] != 0 || samples_->completed(local)) continue;
-        if (may_cancel && config_.engine.instance_cancelled(local)) continue;
-        samples_->complete(local);
-      }
-    }
+    // Streaming flush after the round's pins are released. A blocked
+    // subscriber parks the driver in host time only; the round's
+    // simulated timeline is already settled.
+    complete_round_chains();
   }
 }
 
 void OomEngine::run_wave(sim::Device& device, sim::Stream& stream,
                          std::uint32_t p, double fraction,
                          OomMetrics& metrics) {
-  std::vector<FrontierEntry> batch = queues_[p].drain();
+  std::vector<FrontierEntry>& batch = drained_;
+  queues_[p].drain(batch);
   if (config_.engine.may_cancel()) {
     // Wave boundary is the barrier path's cancellation point: a cancelled
     // instance's entries are dropped before the kernel forms, so the

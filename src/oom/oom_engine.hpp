@@ -102,11 +102,6 @@ class OomEngine {
   void set_cache(std::shared_ptr<PartitionCache> cache);
 
  private:
-  struct RoundPlan {
-    std::vector<std::uint32_t> partitions;  // chosen for residency
-    std::vector<double> fractions;          // SM share per chosen partition
-  };
-
   /// Runs the workload-aware / round-robin scheduling loop until every
   /// partition queue is empty (one gang's worth of sampling).
   void schedule_until_drained(sim::Device& device, OomRun& result,
@@ -122,33 +117,49 @@ class OomEngine {
   /// Demand-cache scheduling loop (OomConfig::demand_cache): each round
   /// pins the scheduler's top-ranked partitions through the cache — as
   /// many as the cache holds, minus one slot kept free for the prefetch
-  /// pipeline while partitions contend — and runs them concurrently like
-  /// the legacy pipelined residency, except that warm partitions skip
-  /// their transfer entirely and the next-ranked cold partition streams
-  /// in behind the computing set. Kernel windows open at
-  /// max(bytes-ready, stream-ready) under the same cost conventions as
-  /// run_residency_pipelined, so a warm partition computes while the
-  /// round's cold transfers are still on the link — no barrier at a
-  /// residency boundary; rounds chain per stream, never globally.
-  /// Per-instance processing order equals the legacy schedules', so
-  /// samples are byte-identical; only transfers and the simulated
-  /// timeline change.
+  /// pipeline while partitions contend — and runs them through
+  /// run_round like the legacy pipelined plan, except that warm
+  /// partitions skip their transfer entirely and the next-ranked cold
+  /// partition streams in behind the computing set. Kernel windows open
+  /// at max(bytes-ready, stream-ready), so a warm partition computes
+  /// while the round's cold transfers are still on the link — no barrier
+  /// at a residency boundary; rounds chain per stream, never globally.
+  /// Only transfers and the simulated timeline differ from the legacy
+  /// plan; the samples are byte-identical.
   void run_cached_pipelined(sim::Device& device, OomRun& result,
                             RunningStat& imbalance);
 
-  /// Pipelined residency (EngineConfig::schedule == kPipelined): instead
-  /// of barriered waves, every instance runs as one chain consuming its
-  /// own entries in the resident partitions round by round — an
+  /// One pipelined residency round (EngineConfig::schedule ==
+  /// kPipelined), shared by both out-of-memory plans. `resident` lists
+  /// the round's partitions in slot order, already on the device.
+  /// Instead of barriered waves, every instance with resident entries
+  /// runs as one chain consuming its own entries round by round — an
   /// instance's depth-d+1 entries are sampled the moment *its* depth-d
   /// entries are, regardless of other instances' progress. Entries
-  /// leaving the residency are buffered per chain and merged into the
-  /// partition queues in instance order, and the per-instance processing
-  /// order equals the barriered wave order, so samples and queue
-  /// evolution are byte-identical to the kStepBarrier schedule. Records
-  /// one fused kernel per resident partition (same names, streams and SM
-  /// fractions as the wave kernels).
-  void run_residency_pipelined(sim::Device& device, const RoundPlan& plan,
-                               OomRun& result, RunningStat& imbalance);
+  /// leaving the residency are buffered per chain and merged back into
+  /// the partition queues in chain order, and the per-instance
+  /// processing order equals the barriered wave order, so samples and
+  /// queue evolution are byte-identical to the kStepBarrier schedule.
+  /// Returns one PipelinedKernel per slot; the caller records them.
+  std::vector<sim::Device::PipelinedKernel> run_round(
+      sim::Device& device, std::span<const std::uint32_t> resident);
+
+  /// Streaming flush point after a round: fires completion for every
+  /// instance of the round's chains whose outstanding-entry count hit
+  /// zero. No-op unless streaming.
+  void complete_round_chains();
+
+  /// Thread-block based workload balancing (paper §V-B): each resident
+  /// partition's SM share, proportional to its queued entries under
+  /// block balancing (floored at 5%), even otherwise. Call before
+  /// run_round drains the queues.
+  std::vector<double> sm_fractions(
+      std::span<const std::uint32_t> resident) const;
+
+  /// Adds one round's kernel imbalance (coefficient of variation of the
+  /// per-partition kernel durations) when two or more partitions ran.
+  static void record_imbalance(std::span<const double> durations,
+                               RunningStat& imbalance);
 
   /// Samples one frontier entry against partition p. Next-depth frontier
   /// entries go to `routed` (a per-task slot), not straight into the
@@ -177,10 +188,26 @@ class OomEngine {
   std::vector<FrontierQueue> queues_;
   std::vector<InstanceState> instances_;
   SampleStore* samples_ = nullptr;
-  /// Pipelined residencies: local instance -> chain index of the current
-  /// residency (~0u when the instance has no resident entries). Sized
-  /// once per run; run_residency_pipelined resets only the slots it
-  /// assigned.
+  /// One chain of the current pipelined round: its local instance, its
+  /// unprocessed entries per resident slot, and the children it routed
+  /// to non-resident partitions.
+  struct Chain {
+    std::uint32_t instance = 0;
+    std::vector<std::vector<FrontierEntry>> pending;
+    std::vector<FrontierEntry> routed_out;
+  };
+  /// The round's chains are chains_[0, num_chains_). The vectors are
+  /// cleared and reused across rounds and runs, never shrunk, so a round
+  /// allocates only when it outgrows every earlier one.
+  std::vector<Chain> chains_;
+  std::size_t num_chains_ = 0;
+  /// A queue's entries, drained by run_round and run_wave.
+  std::vector<FrontierEntry> drained_;
+  /// Partition -> resident slot of the current round (~0u otherwise).
+  std::vector<std::uint32_t> slot_of_;
+  /// Local instance -> chain index of the current round (~0u when the
+  /// instance has no resident entries). Sized once per run; run_round
+  /// resets only the slots it assigned.
   std::vector<std::uint32_t> chain_of_;
   /// Streaming runs only: outstanding frontier entries per local
   /// instance across ALL partition queues. A chain finishing its round

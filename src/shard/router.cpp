@@ -122,7 +122,7 @@ RunResult ShardRouter::run_tagged(
   result.mode = ExecutionMode::kInMemory;
   result.mode_reason = "sharded: " + std::to_string(num_shards) +
                        " walk shards over simulated transport";
-  result.samples.reset(n);
+  result.samples.reset(n, setup_.spec.fixed_row_length());
   result.device_seconds.assign(num_shards, 0.0);
   if (control.on_instance_complete) {
     result.samples.set_completion_callback(control.on_instance_complete);

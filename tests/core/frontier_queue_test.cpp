@@ -24,7 +24,9 @@ TEST(FrontierQueue, PushAtDrainRoundTrip) {
   EXPECT_EQ(first.prev, 4u);
   EXPECT_EQ(q.at(1).local, 1u);
 
-  const auto drained = q.drain();
+  // The drain replaces whatever the caller's vector held.
+  std::vector<FrontierEntry> drained(3);
+  q.drain(drained);
   EXPECT_TRUE(q.empty());
   ASSERT_EQ(drained.size(), 2u);
   EXPECT_EQ(drained[1].vertex, 6u);

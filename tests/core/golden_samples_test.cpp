@@ -9,6 +9,13 @@
 // were recorded before the step went allocation-free and pin the bytes
 // across commits instead: a mismatch means the sampled edges or the
 // simulated cost accounting changed.
+//
+// A second table pins the out-of-memory timeline: every walk algorithm
+// through both pipelined out-of-memory plans (the legacy up-front
+// transfer plan and the demand cache). Besides the samples and stats it
+// hashes the bit patterns of sim_seconds and the kernel imbalance and the
+// OomMetrics counters, so a change to how a residency round is scheduled,
+// transferred or recorded shows up even when both plans move together.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -44,8 +51,7 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-std::uint64_t hash_run(const RunResult& run) {
-  Fnv1a h;
+void hash_samples_and_stats(const RunResult& run, Fnv1a& h) {
   h.add(run.samples.num_instances());
   for (std::uint32_t i = 0; i < run.samples.num_instances(); ++i) {
     const auto edges = run.samples.edges(i);
@@ -58,6 +64,28 @@ std::uint64_t hash_run(const RunResult& run) {
   }
   sim::visit_kernel_stats(run.stats,
                           [&](const char*, std::uint64_t v) { h.add(v); });
+}
+
+std::uint64_t hash_run(const RunResult& run) {
+  Fnv1a h;
+  hash_samples_and_stats(run, h);
+  return h.value();
+}
+
+/// hash_run plus the simulated timeline and the out-of-memory counters.
+std::uint64_t hash_timeline(const RunResult& run) {
+  Fnv1a h;
+  hash_samples_and_stats(run, h);
+  h.add(std::bit_cast<std::uint64_t>(run.sim_seconds));
+  const OomMetrics& m = run.oom.value();
+  h.add(std::bit_cast<std::uint64_t>(m.kernel_imbalance));
+  h.add(m.partition_transfers);
+  h.add(m.bytes_transferred);
+  h.add(m.scheduling_rounds);
+  h.add(m.kernel_launches);
+  h.add(m.cache_hits);
+  h.add(m.cache_evictions);
+  h.add(m.prefetch_transfers);
   return h.value();
 }
 
@@ -296,6 +324,131 @@ TEST(GoldenSamples, EveryAlgorithmMatchesItsPinnedHash) {
     }
   }
   EXPECT_EQ(checked, std::size(kGolden));
+}
+
+/// One pinned (graph, walk algorithm, out-of-memory plan) timeline hash.
+struct GoldenTimeline {
+  int graph;
+  AlgorithmId algorithm;
+  bool demand_cache;
+  std::uint64_t hash;
+};
+
+// Graph numbering as in kGolden; demand_cache false is the legacy
+// up-front transfer plan.
+constexpr GoldenTimeline kGoldenTimeline[] = {
+    {0, AlgorithmId::kSimpleRandomWalk, false,
+     0x5fd06b05a97ee5beull},
+    {0, AlgorithmId::kSimpleRandomWalk, true,
+     0x021d25d7dde69525ull},
+    {0, AlgorithmId::kDeepwalk, false,
+     0x5fd06b05a97ee5beull},
+    {0, AlgorithmId::kDeepwalk, true,
+     0x021d25d7dde69525ull},
+    {0, AlgorithmId::kBiasedRandomWalk, false,
+     0xd31a36b6dd3e9721ull},
+    {0, AlgorithmId::kBiasedRandomWalk, true,
+     0xbd6b3a12ee77c839ull},
+    {0, AlgorithmId::kMetropolisHastingsWalk, false,
+     0x4f4a980e15b6626dull},
+    {0, AlgorithmId::kMetropolisHastingsWalk, true,
+     0x49e3eb53997f596full},
+    {0, AlgorithmId::kRandomWalkWithJump, false,
+     0xc6484ceb7a0b1ec5ull},
+    {0, AlgorithmId::kRandomWalkWithJump, true,
+     0x541ff2134776c488ull},
+    {0, AlgorithmId::kRandomWalkWithRestart, false,
+     0x1f78c6d0686cebe1ull},
+    {0, AlgorithmId::kRandomWalkWithRestart, true,
+     0x7bd7568b98845dfeull},
+    {0, AlgorithmId::kNode2vec, false,
+     0x060734dd4616a2baull},
+    {0, AlgorithmId::kNode2vec, true,
+     0x754291a2f688b2dbull},
+    {1, AlgorithmId::kSimpleRandomWalk, false,
+     0x4c788af87e74b40eull},
+    {1, AlgorithmId::kSimpleRandomWalk, true,
+     0x3f0b1d4c443ff4d2ull},
+    {1, AlgorithmId::kDeepwalk, false,
+     0x4c788af87e74b40eull},
+    {1, AlgorithmId::kDeepwalk, true,
+     0x3f0b1d4c443ff4d2ull},
+    {1, AlgorithmId::kBiasedRandomWalk, false,
+     0xfea60519d7e9a58bull},
+    {1, AlgorithmId::kBiasedRandomWalk, true,
+     0x1948c78c8ae13c87ull},
+    {1, AlgorithmId::kMetropolisHastingsWalk, false,
+     0x1c43f12b7edc45d0ull},
+    {1, AlgorithmId::kMetropolisHastingsWalk, true,
+     0x382ec7f71baea718ull},
+    {1, AlgorithmId::kRandomWalkWithJump, false,
+     0xa805e2c61b7b783cull},
+    {1, AlgorithmId::kRandomWalkWithJump, true,
+     0xb810cbe30c3a74aaull},
+    {1, AlgorithmId::kRandomWalkWithRestart, false,
+     0xd1c85adcb3b60374ull},
+    {1, AlgorithmId::kRandomWalkWithRestart, true,
+     0x3e426be3377a1cc9ull},
+    {1, AlgorithmId::kNode2vec, false,
+     0xc3c4bd7135804f7aull},
+    {1, AlgorithmId::kNode2vec, true,
+     0xda595ced40778fc5ull},
+};
+
+std::uint64_t run_oom_plan(const CsrGraph& g, AlgorithmId id,
+                           bool demand_cache) {
+  const AlgorithmSetup setup = make_algorithm(id, kWalkLength);
+  SamplerOptions options;
+  options.num_threads = 2;
+  options.schedule = Schedule::kPipelined;
+  options.mode = ExecutionMode::kOutOfMemory;
+  options.memory_assumption = MemoryAssumption::kExceeds;
+  options.oom_demand_cache = demand_cache;
+  options.num_partitions = 4;
+  options.resident_partitions = 2;
+  Sampler sampler(g, setup, options);
+  return hash_timeline(
+      sampler.run_tagged(expand_single_seeds(seeds_for(g)), tags()));
+}
+
+TEST(GoldenSamples, OomWalkTimelinesMatchTheirPinnedHashes) {
+  std::size_t checked = 0;
+  for (int which = 0; which < 2; ++which) {
+    for (const AlgorithmId id : all_algorithms()) {
+      if (algorithm_info(id).neighbors_per_step != "1") continue;
+      if (!in_memory_only_reason(make_algorithm(id, kWalkLength).spec)
+               .empty()) {
+        continue;
+      }
+      for (const bool demand_cache : {false, true}) {
+        const std::uint64_t got =
+            run_oom_plan(graph(which), id, demand_cache);
+        const GoldenTimeline* want = nullptr;
+        for (const GoldenTimeline& g : kGoldenTimeline) {
+          if (g.graph == which && g.algorithm == id &&
+              g.demand_cache == demand_cache) {
+            want = &g;
+          }
+        }
+        char line[160];
+        std::snprintf(line, sizeof(line),
+                      "{%d, AlgorithmId(%d), %s, 0x%016llxull},", which,
+                      static_cast<int>(id), demand_cache ? "true" : "false",
+                      static_cast<unsigned long long>(got));
+        const std::string label =
+            "graph " + std::to_string(which) + ", " +
+            algorithm_info(id).name + ", " +
+            (demand_cache ? "demand cache" : "legacy plan") + "; got " + line;
+        if (want == nullptr) {
+          ADD_FAILURE() << "no pinned hash: " << label;
+          continue;
+        }
+        EXPECT_EQ(got, want->hash) << label;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGoldenTimeline));
 }
 
 }  // namespace

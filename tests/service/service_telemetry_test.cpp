@@ -285,6 +285,77 @@ TEST(ServiceTelemetry, TraceNestsChainSpansInsideBatchSpans) {
   EXPECT_LT(queue->end, batch->end);
 }
 
+TEST(ServiceTelemetry, PagedChainSpansOnePerRoundAndInstanceUnderBothPlans) {
+  // Both pipelined out-of-memory plans run their residency rounds through
+  // one chain body, so both emit one chain span per (round, instance with
+  // resident entries). A walk instance has at most one entry at a time:
+  // each of its rounds but the last ends with the walker routed to a
+  // non-resident partition, and the last ends with nothing routed out.
+  // A missing or doubled span breaks that pattern.
+  constexpr std::uint32_t kWalkers = 12;
+  for (const bool demand_cache : {false, true}) {
+    SCOPED_TRACE(demand_cache ? "demand cache" : "legacy plan");
+    ServiceConfig config = serial_config();
+    config.options.memory_assumption = MemoryAssumption::kExceeds;
+    config.paged_demand_cache = demand_cache;
+    // A device that holds two of the four partitions, so the demand
+    // cache pages too and walkers cross residency boundaries.
+    const PartitionedGraph parts(*small_graph(),
+                                 config.options.num_partitions);
+    config.options.device_params.memory_bytes = static_cast<std::uint64_t>(
+        2.5 * static_cast<double>(parts.max_partition_bytes()) /
+        config.options.memory_budget_fraction);
+    config.trace = std::make_shared<telemetry::TraceRecorder>();
+    Service service(config);
+    service.add_graph("g", small_graph());
+    const RunResult result = service.sample(walk_request(kWalkers, 24));
+    service.drain();
+    ASSERT_TRUE(result.oom.has_value());
+
+    const std::vector<TraceEvent> events = config.trace->snapshot();
+    std::optional<SpanWindow> batch;
+    std::string batch_arg;
+    for (const TraceEvent& event : events) {
+      if (event.name == "batch" && event.phase == TracePhase::kBegin) {
+        batch = span_window(events, "batch", event.id);
+        batch_arg = arg(event, "batch");
+      }
+    }
+    ASSERT_TRUE(batch.has_value());
+
+    // Per instance, its chain spans' routed_out counts in seq order.
+    std::map<std::string, std::vector<std::string>> routed_by_instance;
+    std::map<std::uint64_t, std::string> instance_of_span;
+    std::size_t spans = 0;
+    for (const TraceEvent& event : events) {
+      if (event.name != "chain") continue;
+      EXPECT_GT(event.seq, batch->begin);
+      EXPECT_LT(event.seq, batch->end);
+      if (event.phase == TracePhase::kBegin) {
+        ++spans;
+        EXPECT_EQ(arg(event, "batch"), batch_arg);
+        instance_of_span[event.id] = arg(event, "instance");
+      } else {
+        ASSERT_EQ(instance_of_span.count(event.id), 1u);
+        routed_by_instance[instance_of_span[event.id]].push_back(
+            arg(event, "routed_out"));
+      }
+    }
+    EXPECT_EQ(routed_by_instance.size(), kWalkers);
+    EXPECT_GE(spans, result.oom->scheduling_rounds);
+    EXPECT_GT(spans, kWalkers) << "no walker crossed a residency boundary";
+    for (const auto& [instance, routed] : routed_by_instance) {
+      ASSERT_FALSE(routed.empty());
+      EXPECT_LE(routed.size(), result.oom->scheduling_rounds) << instance;
+      for (std::size_t i = 0; i + 1 < routed.size(); ++i) {
+        EXPECT_EQ(routed[i], "1") << "instance " << instance << " round "
+                                  << i;
+      }
+      EXPECT_EQ(routed.back(), "0") << "instance " << instance;
+    }
+  }
+}
+
 TEST(ServiceTelemetry, TraceWrapsTransferRetriesInTransferSpans) {
   // Paged service with a scripted fail-twice fault: the transfer span of
   // partition 0 must contain its two fault+retry instants by sequence.

@@ -17,11 +17,19 @@ mentions like `engine.hpp` inside a table are skipped on purpose (they
 are prose, not pointers), as are `.json` names, which usually refer to
 generated artifacts.
 
+Symbol references in backticks are checked too: a `Name::member` token
+(optionally called, like `Name::member()` or `Name::member(k)`) fails
+when `member` occurs nowhere under `src/` as a whole word, so a doc that
+names a deleted or renamed function fails instead of going stale.
+
 Usage: tools/check_md_links.py README.md docs/*.md
-Exits 1 listing every broken link, 0 when all resolve.
+       tools/check_md_links.py --selftest
+Exits 1 listing every broken link, 0 when all resolve. --selftest runs
+the checker over built-in fixtures and exits 0 when it behaves.
 """
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -29,6 +37,11 @@ CHECKED_PREFIXES = ("src/", "docs/", "tests/", "bench/", "examples/",
                     "tools/", ".github/")
 BACKTICK_RE = re.compile(r"`([^`\s]+)`")
 ROOT_FILE_RE = re.compile(r"^[A-Za-z0-9_.-]+\.md$")
+# `Name::member`, `A::B::member`, `Name::member()`, `Name::member(arg)`.
+SYMBOL_RE = re.compile(r"^[A-Za-z_]\w*(?:::[A-Za-z_]\w*)*::([A-Za-z_]\w*)"
+                       r"(?:\([^()]*\))?$")
+WORD_RE = re.compile(r"\w+")
+SOURCE_SUFFIXES = (".hpp", ".cpp", ".h", ".cc")
 
 # Inline links/images: [text](target) — tolerates one level of nested
 # brackets in the text, strips optional '"title"' suffixes in the target.
@@ -77,8 +90,8 @@ def links_of(path: Path):
                 yield number, target
 
 
-def repo_paths_of(path: Path):
-    """Backtick tokens that claim to be repo paths (see module doc)."""
+def backtick_tokens_of(path: Path):
+    """Every backtick token outside fenced code, with its line number."""
     in_fence = False
     for number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -88,17 +101,37 @@ def repo_paths_of(path: Path):
         if in_fence:
             continue
         for match in BACKTICK_RE.finditer(line):
-            token = match.group(1)
-            if token.startswith(CHECKED_PREFIXES) or ROOT_FILE_RE.match(token):
-                yield number, token
+            yield number, match.group(1)
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) < 2:
-        print(__doc__)
-        return 2
+def repo_paths_of(path: Path):
+    """Backtick tokens that claim to be repo paths (see module doc)."""
+    for number, token in backtick_tokens_of(path):
+        if token.startswith(CHECKED_PREFIXES) or ROOT_FILE_RE.match(token):
+            yield number, token
+
+
+def symbols_of(path: Path):
+    """Backtick `Name::member` tokens with their member name."""
+    for number, token in backtick_tokens_of(path):
+        match = SYMBOL_RE.match(token)
+        if match:
+            yield number, token, match.group(1)
+
+
+def source_words(source_root: Path) -> set[str]:
+    """Every identifier-like word in the source tree."""
+    words: set[str] = set()
+    for path in source_root.rglob("*"):
+        if path.suffix in SOURCE_SUFFIXES and path.is_file():
+            words.update(WORD_RE.findall(path.read_text(encoding="utf-8")))
+    return words
+
+
+def check(names: list[str], source_root: Path) -> list[str]:
     errors: list[str] = []
-    for name in argv[1:]:
+    words = source_words(source_root)
+    for name in names:
         source = Path(name)
         if not source.exists():
             errors.append(f"{name}: file not found")
@@ -126,6 +159,49 @@ def main(argv: list[str]) -> int:
             if not (REPO_ROOT / candidate).exists():
                 errors.append(f"{name}:{line}: stale repo path "
                               f"`{token}` (no such file in the repo)")
+        for line, token, member in symbols_of(source):
+            if member not in words:
+                errors.append(f"{name}:{line}: stale symbol `{token}` "
+                              f"('{member}' occurs nowhere under src/)")
+    return errors
+
+
+def selftest() -> int:
+    """Runs check() over fixtures with known verdicts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "src").mkdir()
+        (root / "src" / "engine.hpp").write_text(
+            "struct Engine { void run_round(); int slot_of_; };\n",
+            encoding="utf-8")
+        doc = root / "doc.md"
+        doc.write_text(
+            "# Title\n"
+            "`Engine::run_round`, `Engine::run_round()` and\n"
+            "`csaw::Engine::slot_of_` resolve; [here](#title) too.\n"
+            "`Engine::run_residency` does not.\n"
+            "```\n`Engine::inside_a_fence` is skipped.\n```\n"
+            "[gone](missing.md) is broken.\n",
+            encoding="utf-8")
+        errors = check([str(doc)], root / "src")
+    expected = ["doc.md:4: stale symbol `Engine::run_residency`",
+                "doc.md:8: broken link 'missing.md'"]
+    ok = len(errors) == len(expected) and all(
+        any(want in error for error in errors) for want in expected)
+    print("selftest " + ("passed" if ok else "FAILED"))
+    if not ok:
+        for error in errors:
+            print(f"  got: {error}")
+    return 0 if ok else 1
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[1] == "--selftest":
+        return selftest()
+    if len(argv) < 2:
+        print(__doc__)
+        return 2
+    errors = check(argv[1:], REPO_ROOT / "src")
     if errors:
         print(f"{len(errors)} broken link(s):")
         for error in errors:
