@@ -319,8 +319,8 @@ bool uses_static_ctps(const Policy& policy, const SamplingSpec& spec);
 /// The table a (graph, policy, spec) triple runs with: a fresh, lazily
 /// filled StaticCtpsTable over `graph` and the policy's static bias (1
 /// when the policy sets no EDGEBIAS hook) when uses_static_ctps holds,
-/// else null. Sampler, ShardRouter and Service all create their tables
-/// here.
+/// else null. The Sampler creates every table here; the service shares
+/// one per (graph, algorithm) through SharedGraphState.
 std::shared_ptr<StaticCtpsTable> make_static_ctps(const CsrGraph& graph,
                                                   const Policy& policy,
                                                   const SamplingSpec& spec);

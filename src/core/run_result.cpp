@@ -14,6 +14,8 @@ std::string to_string(ExecutionMode mode) {
       return "out-of-memory";
     case ExecutionMode::kMultiDevice:
       return "multi-device";
+    case ExecutionMode::kSharded:
+      return "sharded";
   }
   return "unknown";
 }

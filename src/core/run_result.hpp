@@ -25,6 +25,9 @@ enum class ExecutionMode {
   /// Disjoint instance groups across several devices (paper §V-D); each
   /// device runs the in-memory or out-of-memory backend.
   kMultiDevice,
+  /// Walk-shaped instances routed across shard workers over a simulated
+  /// transport (src/shard/); ShardOptions sets the shard count.
+  kSharded,
 };
 
 /// Human-readable mode name ("auto", "in-memory", ...).
@@ -69,8 +72,8 @@ struct OomMetrics {
 };
 
 /// Metrics of the sharded routing tier (src/shard/): walker forwarding
-/// over the simulated transport. Present on a RunResult only when a
-/// ShardRouter executed the run.
+/// over the simulated transport. Present on a RunResult only when the
+/// run executed in ExecutionMode::kSharded.
 struct ShardMetrics {
   std::uint32_t shards = 0;
   /// BSP forwarding rounds executed (compute + exchange supersteps).
@@ -132,7 +135,7 @@ struct RunResult {
   std::string mode_reason;
   /// Present when the out-of-memory backend ran on any device.
   std::optional<OomMetrics> oom;
-  /// Present when a ShardRouter routed the run across shards.
+  /// Present when the run executed in ExecutionMode::kSharded.
   std::optional<ShardMetrics> shard;
 
   std::uint64_t sampled_edges() const { return samples.total_edges(); }

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "shard/router.hpp"
 #include "util/check.hpp"
 
 namespace csaw {
@@ -13,28 +14,20 @@ double to_mib(std::uint64_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
 
-/// Whether auto selection should page the graph, plus the footprint text
-/// used in the decision reason.
-bool graph_exceeds_budget(const CsrGraph& graph, const SamplerOptions& options,
-                          std::ostringstream& why) {
-  switch (options.memory_assumption) {
-    case MemoryAssumption::kExceeds:
-      why << "graph assumed to exceed device memory";
-      return true;
-    case MemoryAssumption::kFits:
-      why << "graph assumed to fit device memory";
-      return false;
-    case MemoryAssumption::kMeasure:
-      break;
+/// The footprint-vs-budget half of a decision reason.
+std::string budget_reason(const CsrGraph& graph,
+                          const SamplerOptions& options) {
+  const bool exceeds = graph_exceeds_budget(graph, options);
+  if (options.memory_assumption != MemoryAssumption::kMeasure) {
+    return exceeds ? "graph assumed to exceed device memory"
+                   : "graph assumed to fit device memory";
   }
-  const double budget = options.memory_budget_fraction *
-                        static_cast<double>(options.device_params.memory_bytes);
-  const bool exceeds = static_cast<double>(graph.bytes()) > budget;
+  std::ostringstream why;
   why << "CSR footprint " << to_mib(graph.bytes()) << " MiB "
       << (exceeds ? "exceeds" : "fits") << " "
       << options.memory_budget_fraction * 100.0 << "% of "
       << to_mib(options.device_params.memory_bytes) << " MiB device memory";
-  return exceeds;
+  return why.str();
 }
 
 /// The per-device backend auto selection: in-memory unless the graph
@@ -43,13 +36,13 @@ void resolve_backend(const CsrGraph& graph, const SamplingSpec& spec,
                      const SamplerOptions& options, ModeDecision& decision,
                      std::ostringstream& why) {
   const std::string restriction = in_memory_only_reason(spec);
-  std::ostringstream footprint;
-  const bool exceeds = graph_exceeds_budget(graph, options, footprint);
+  const bool exceeds = graph_exceeds_budget(graph, options);
+  const std::string footprint = budget_reason(graph, options);
   if (!restriction.empty()) {
     decision.out_of_memory = false;
     why << "in-memory engine: " << restriction;
     if (exceeds) {
-      why << " — falling back despite " << footprint.str()
+      why << " — falling back despite " << footprint
           << "; expect host-fallback traffic on a real device";
     }
     return;
@@ -58,10 +51,22 @@ void resolve_backend(const CsrGraph& graph, const SamplingSpec& spec,
   if (exceeds) {
     why << "out-of-memory engine (" << options.num_partitions
         << " partitions, " << options.resident_partitions
-        << " resident): " << footprint.str();
+        << " resident): " << footprint;
   } else {
-    why << "in-memory engine: " << footprint.str();
+    why << "in-memory engine: " << footprint;
   }
+}
+
+/// Why a kAuto decision with more than one shard configured does not
+/// shard, or empty when it does.
+std::string not_sharded_reason(const CsrGraph& graph, const SamplingSpec& spec,
+                               const SamplerOptions& options) {
+  if (!ShardRouter::shardable_spec(spec)) {
+    return "spec is not walk-shaped (one neighbor per step, with "
+           "replacement, no visited filter)";
+  }
+  if (graph_exceeds_budget(graph, options)) return "graph pages";
+  return {};
 }
 
 ModeDecision resolve_mode(const CsrGraph& graph, const SamplingSpec& spec,
@@ -107,14 +112,37 @@ ModeDecision resolve_mode(const CsrGraph& graph, const SamplingSpec& spec,
       resolve_backend(graph, spec, options, decision, why);
       break;
 
+    case ExecutionMode::kSharded:
+      CSAW_CHECK_MSG(ShardRouter::shardable_spec(spec),
+                     "ExecutionMode::kSharded requires a walk-shaped spec "
+                     "(one neighbor per step, with replacement, no visited "
+                     "filter)");
+      decision.resolved = ExecutionMode::kSharded;
+      why << options.shard.shards
+          << " walk shards over simulated transport requested explicitly";
+      break;
+
     case ExecutionMode::kAuto:
+      why << "auto: ";
+      // Sharding wins over num_devices: shard workers are the devices.
+      if (options.shard.shards > 1) {
+        const std::string not_sharded =
+            not_sharded_reason(graph, spec, options);
+        if (not_sharded.empty()) {
+          decision.resolved = ExecutionMode::kSharded;
+          why << options.shard.shards
+              << " walk shards over simulated transport; "
+              << budget_reason(graph, options);
+          break;
+        }
+        why << options.shard.shards << " shards configured but "
+            << not_sharded << "; ";
+      }
       if (options.num_devices > 1) {
         decision.resolved = ExecutionMode::kMultiDevice;
-        why << "auto: " << options.num_devices
-            << " devices configured; per-device ";
+        why << options.num_devices << " devices configured; per-device ";
         resolve_backend(graph, spec, options, decision, why);
       } else {
-        why << "auto: ";
         resolve_backend(graph, spec, options, decision, why);
         decision.resolved = decision.out_of_memory
                                 ? ExecutionMode::kOutOfMemory
@@ -125,6 +153,20 @@ ModeDecision resolve_mode(const CsrGraph& graph, const SamplingSpec& spec,
 
   decision.reason = why.str();
   return decision;
+}
+
+/// Non-empty when some instance does not hold exactly one seed, which a
+/// sharded run needs (one walker per instance).
+std::string multi_seed_reason(std::span<const std::vector<VertexId>> seeds) {
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    if (seeds[i].size() != 1) {
+      return "instance " + std::to_string(i) + " holds " +
+             std::to_string(seeds[i].size()) +
+             " seeds; sharded walks need exactly one, so this run used "
+             "the in-memory engine";
+    }
+  }
+  return {};
 }
 
 /// Folds one group's (device's or batch's) result into the whole-run
@@ -145,6 +187,21 @@ void merge_group(RunResult& into, const RunResult& part, std::uint32_t begin,
 }
 
 }  // namespace
+
+bool graph_exceeds_budget(const CsrGraph& graph,
+                          const SamplerOptions& options) {
+  switch (options.memory_assumption) {
+    case MemoryAssumption::kExceeds:
+      return true;
+    case MemoryAssumption::kFits:
+      return false;
+    case MemoryAssumption::kMeasure:
+      break;
+  }
+  return static_cast<double>(graph.bytes()) >
+         options.memory_budget_fraction *
+             static_cast<double>(options.device_params.memory_bytes);
+}
 
 std::string in_memory_only_reason(const SamplingSpec& spec) {
   if (spec.select_frontier) {
@@ -214,7 +271,7 @@ Sampler::Sampler(const CsrGraph& graph, AlgorithmId id,
               std::move(options)) {}
 
 RunResult Sampler::run(std::span<const std::vector<VertexId>> seeds) {
-  return dispatch(seeds, options_.instance_id_offset);
+  return dispatch(seeds, options_.instance_id_offset, {}, {});
 }
 
 RunResult Sampler::run_single_seed(std::span<const VertexId> seeds) {
@@ -223,14 +280,7 @@ RunResult Sampler::run_single_seed(std::span<const VertexId> seeds) {
 
 RunResult Sampler::run_tagged(std::span<const std::vector<VertexId>> seeds,
                               std::span<const std::uint32_t> tags) {
-  CSAW_CHECK_MSG(tags.size() == seeds.size(),
-                 "run_tagged needs one tag per instance: " << tags.size()
-                     << " tags for " << seeds.size() << " seed lists");
-  // Validate the whole span here: a multi-device dispatch hands each
-  // group a subspan, and per-group checks alone would accept duplicates
-  // that straddle a group boundary.
-  validate_instance_tags(tags, seeds.size());
-  return dispatch(seeds, options_.instance_id_offset, tags);
+  return run_tagged(seeds, tags, {});
 }
 
 RunResult Sampler::run_tagged(std::span<const std::vector<VertexId>> seeds,
@@ -239,69 +289,85 @@ RunResult Sampler::run_tagged(std::span<const std::vector<VertexId>> seeds,
   CSAW_CHECK_MSG(tags.size() == seeds.size(),
                  "run_tagged needs one tag per instance: " << tags.size()
                      << " tags for " << seeds.size() << " seed lists");
+  // Validate the whole span here: a multi-device dispatch hands each
+  // group a subspan, and per-group checks alone would accept duplicates
+  // that straddle a group boundary.
   validate_instance_tags(tags, seeds.size());
   CSAW_CHECK_MSG(control.instance_cancel.empty() ||
                      control.instance_cancel.size() == seeds.size(),
                  "RunControl::instance_cancel has "
                      << control.instance_cancel.size() << " tokens for "
                      << seeds.size() << " seed lists");
-  // Run-scoped trace attribution; the guard clears it even when the run
-  // throws (TransferError), so a later untraced run stays untraced.
-  trace_ = control.trace;
-  trace_batch_ = control.trace_batch;
-  struct TraceReset {
-    Sampler* self;
-    ~TraceReset() {
-      self->trace_ = nullptr;
-      self->trace_batch_ = 0;
-    }
-  } reset{this};
-  return dispatch(seeds, options_.instance_id_offset, tags, control.cancel,
-                  control.instance_cancel, control.on_instance_complete);
+  return dispatch(seeds, options_.instance_id_offset, tags, control);
 }
 
 void Sampler::set_executor(std::shared_ptr<sim::ThreadPool> pool) {
   pool_ = std::move(pool);
 }
 
-void Sampler::set_partitions(std::shared_ptr<const PartitionedGraph> parts) {
-  parts_ = std::move(parts);
-}
-
-void Sampler::set_partition_cache(std::shared_ptr<PartitionCache> cache) {
-  cache_ = std::move(cache);
-  if (cache_ != nullptr) parts_ = cache_->parts_ptr();
-}
-
-void Sampler::set_static_ctps(std::shared_ptr<StaticCtpsTable> table) {
-  CSAW_CHECK_MSG(table == nullptr || &table->graph() == graph_,
+void Sampler::attach(SharedGraphState state) {
+  CSAW_CHECK_MSG(state.static_ctps == nullptr ||
+                     &state.static_ctps->graph() == graph_,
                  "static CTPS table built over a different graph");
-  static_ctps_ = std::move(table);
+  CSAW_CHECK_MSG(state.shard_map == nullptr ||
+                     state.shard_map->num_vertices() == graph_->num_vertices(),
+                 "shard partition map built for a different graph");
+  if (state.cache != nullptr) state.parts = state.cache->parts_ptr();
+  shared_ = std::move(state);
+}
+
+void Sampler::prepare() {
+  if (shared_.static_ctps == nullptr) {
+    shared_.static_ctps = make_static_ctps(*graph_, policy_, spec_);
+  }
+  if (decision_.resolved == ExecutionMode::kSharded &&
+      shared_.shard_map == nullptr) {
+    shared_.shard_map = std::make_shared<const ShardPartitionMap>(
+        *graph_, options_.shard.shards);
+  }
+  if (decision_.out_of_memory && shared_.parts == nullptr) {
+    shared_.parts = std::make_shared<const PartitionedGraph>(
+        *graph_, options_.num_partitions);
+  }
+  // Single-device paging shares one persistent cache across runs and
+  // batches (warm partitions). Multi-device groups skip this: each
+  // simulated device owns its memory, so every group's engine builds a
+  // private cache instead.
+  if (options_.oom_demand_cache &&
+      decision_.resolved == ExecutionMode::kOutOfMemory &&
+      shared_.cache == nullptr) {
+    shared_.cache = std::make_shared<PartitionCache>(
+        shared_.parts, options_.resident_partitions, options_.num_streams);
+  }
 }
 
 RunResult Sampler::dispatch(std::span<const std::vector<VertexId>> seeds,
                             std::uint32_t instance_id_offset,
                             std::span<const std::uint32_t> tags,
-                            CancelToken cancel,
-                            std::span<const CancelToken> instance_cancel,
-                            const SampleStore::CompletionCallback& on_complete) {
-  if (static_ctps_ == nullptr) {
-    static_ctps_ = make_static_ctps(*graph_, policy_, spec_);
-  }
+                            const RunControl& control) {
+  prepare();
   RunResult result;
   switch (decision_.resolved) {
     case ExecutionMode::kInMemory:
-      result = run_in_memory(seeds, instance_id_offset, tags, /*device_id=*/0,
-                             cancel, instance_cancel, on_complete);
+      result = run_in_memory(seeds, instance_id_offset, tags,
+                             /*device_id=*/0, control);
       break;
     case ExecutionMode::kOutOfMemory:
       result = run_out_of_memory(seeds, instance_id_offset, tags,
-                                 /*device_id=*/0, cancel, instance_cancel,
-                                 on_complete);
+                                 /*device_id=*/0, control);
       break;
     case ExecutionMode::kMultiDevice:
-      result = run_multi_device(seeds, instance_id_offset, tags, cancel,
-                                instance_cancel, on_complete);
+      result = run_multi_device(seeds, instance_id_offset, tags, control);
+      break;
+    case ExecutionMode::kSharded:
+      if (std::string why = multi_seed_reason(seeds); !why.empty()) {
+        result = run_in_memory(seeds, instance_id_offset, tags,
+                               /*device_id=*/0, control);
+        result.mode = ExecutionMode::kInMemory;
+        result.mode_reason = decision_.reason + "; " + why;
+        return result;
+      }
+      result = run_sharded(seeds, instance_id_offset, tags, control);
       break;
     case ExecutionMode::kAuto:
       CSAW_CHECK_MSG(false, "resolved mode can never be kAuto");
@@ -323,26 +389,31 @@ void Sampler::attach_executor(sim::Device& device) {
   if (ensure_pool() != nullptr) device.set_executor(pool_);
 }
 
-RunResult Sampler::run_in_memory(
-    std::span<const std::vector<VertexId>> seeds,
-    std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-    std::uint32_t device_id, CancelToken cancel,
-    std::span<const CancelToken> instance_cancel,
-    const SampleStore::CompletionCallback& on_complete) {
-  sim::Device device(device_id, options_.device_params);
-  attach_executor(device);
-  CsrGraphView view(*graph_);
+EngineConfig Sampler::run_config(std::uint32_t instance_id_offset,
+                                 std::span<const std::uint32_t> tags,
+                                 const RunControl& control) const {
   EngineConfig config = options_.engine_config();
   config.instance_id_offset = instance_id_offset;
   config.instance_tags.assign(tags.begin(), tags.end());
-  config.cancel = std::move(cancel);
-  config.instance_cancel.assign(instance_cancel.begin(),
-                                instance_cancel.end());
-  config.on_instance_complete = on_complete;
-  config.trace = trace_;
-  config.trace_batch = trace_batch_;
-  config.static_ctps = static_ctps_;
-  SamplingEngine engine(view, policy_, spec_, config);
+  config.cancel = control.cancel;
+  config.instance_cancel = control.instance_cancel;
+  config.on_instance_complete = control.on_instance_complete;
+  config.trace = control.trace;
+  config.trace_batch = control.trace_batch;
+  config.static_ctps = shared_.static_ctps;
+  return config;
+}
+
+RunResult Sampler::run_in_memory(std::span<const std::vector<VertexId>> seeds,
+                                 std::uint32_t instance_id_offset,
+                                 std::span<const std::uint32_t> tags,
+                                 std::uint32_t device_id,
+                                 const RunControl& control) {
+  sim::Device device(device_id, options_.device_params);
+  attach_executor(device);
+  CsrGraphView view(*graph_);
+  SamplingEngine engine(view, policy_, spec_,
+                        run_config(instance_id_offset, tags, control));
   SampleRun run = engine.run(device, seeds);
 
   RunResult result;
@@ -356,39 +427,16 @@ RunResult Sampler::run_in_memory(
 RunResult Sampler::run_out_of_memory(
     std::span<const std::vector<VertexId>> seeds,
     std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-    std::uint32_t device_id, CancelToken cancel,
-    std::span<const CancelToken> instance_cancel,
-    const SampleStore::CompletionCallback& on_complete) {
+    std::uint32_t device_id, const RunControl& control) {
   sim::Device device(device_id, options_.device_params);
   attach_executor(device);
   OomConfig config = options_.oom_config();
-  config.engine.instance_id_offset = instance_id_offset;
-  config.engine.instance_tags.assign(tags.begin(), tags.end());
-  config.engine.cancel = std::move(cancel);
-  config.engine.instance_cancel.assign(instance_cancel.begin(),
-                                       instance_cancel.end());
-  config.engine.on_instance_complete = on_complete;
-  config.engine.trace = trace_;
-  config.engine.trace_batch = trace_batch_;
-  config.engine.static_ctps = static_ctps_;
-  if (parts_ == nullptr) {
-    // Single-device dispatch only; the multi-device path pre-builds the
-    // partitioning before its groups run concurrently.
-    parts_ = std::make_shared<const PartitionedGraph>(
-        *graph_, options_.num_partitions);
-  }
-  OomEngine engine(*graph_, policy_, spec_, config, parts_);
+  config.engine = run_config(instance_id_offset, tags, control);
+  OomEngine engine(*graph_, policy_, spec_, config, shared_.parts);
+  // prepare() built the cache for single-device paging only.
   if (config.demand_cache &&
       decision_.resolved == ExecutionMode::kOutOfMemory) {
-    // Single-device paging shares one persistent cache across runs and
-    // batches (warm partitions). Multi-device groups skip this: each
-    // simulated device owns its memory, so every group's engine builds a
-    // private cache instead.
-    if (cache_ == nullptr) {
-      cache_ = std::make_shared<PartitionCache>(
-          parts_, options_.resident_partitions, options_.num_streams);
-    }
-    engine.set_cache(cache_);
+    engine.set_cache(shared_.cache);
   }
   OomRun run = engine.run(device, seeds);
 
@@ -404,8 +452,7 @@ RunResult Sampler::run_out_of_memory(
 RunResult Sampler::run_multi_device(
     std::span<const std::vector<VertexId>> seeds,
     std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-    CancelToken cancel, std::span<const CancelToken> instance_cancel,
-    const SampleStore::CompletionCallback& on_complete) {
+    const RunControl& control) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
 
   RunResult result;
@@ -422,13 +469,10 @@ RunResult Sampler::run_multi_device(
   // Per-device runs are independent (disjoint instance groups, own
   // simulated Device) and execute concurrently on the shared host pool;
   // group results land in per-device slots and merge in device order, so
-  // the output is identical to the sequential loop. The pool and the
-  // partitioning must exist before the groups race to lazily create them.
+  // the output is identical to the sequential loop. The pool must exist
+  // before the groups race to lazily create it (prepare() already built
+  // the partitioning).
   ensure_pool();
-  if (decision_.out_of_memory && parts_ == nullptr) {
-    parts_ = std::make_shared<const PartitionedGraph>(
-        *graph_, options_.num_partitions);
-  }
 
   std::vector<RunResult> parts(options_.num_devices);
   const auto run_group = [&](std::uint32_t d) {
@@ -441,27 +485,32 @@ RunResult Sampler::run_multi_device(
     // Cancellation tokens split the same way.
     const auto group_tags =
         tags.empty() ? tags : tags.subspan(begin, end - begin);
-    const auto group_cancel =
-        instance_cancel.empty() ? instance_cancel
-                                : instance_cancel.subspan(begin, end - begin);
+    RunControl group_control;
+    group_control.cancel = control.cancel;
+    if (!control.instance_cancel.empty()) {
+      group_control.instance_cancel.assign(
+          control.instance_cancel.begin() + begin,
+          control.instance_cancel.begin() + end);
+    }
+    group_control.trace = control.trace;
+    group_control.trace_batch = control.trace_batch;
     // Completion callbacks fire with engine-local indices; re-base them
     // to run-local seed indices. Groups complete instances concurrently,
     // so the subscriber must be thread-safe (the service's streaming
     // bridge locks its chunk queue). Rows a subscriber moves out are
     // empty at merge time, matching the single-device contract.
-    SampleStore::CompletionCallback group_complete;
-    if (on_complete) {
-      group_complete = [&on_complete, begin](std::uint32_t i,
-                                             std::vector<Edge>& row) {
-        on_complete(begin + i, row);
-      };
+    if (control.on_instance_complete) {
+      group_control.on_instance_complete =
+          [&on_complete = control.on_instance_complete, begin](
+              std::uint32_t i, std::vector<Edge>& row) {
+            on_complete(begin + i, row);
+          };
     }
-    parts[d] =
-        decision_.out_of_memory
-            ? run_out_of_memory(group, instance_id_offset + begin, group_tags,
-                                d, cancel, group_cancel, group_complete)
-            : run_in_memory(group, instance_id_offset + begin, group_tags, d,
-                            cancel, group_cancel, group_complete);
+    parts[d] = decision_.out_of_memory
+                   ? run_out_of_memory(group, instance_id_offset + begin,
+                                       group_tags, d, group_control)
+                   : run_in_memory(group, instance_id_offset + begin,
+                                   group_tags, d, group_control);
   };
   if (pool_ != nullptr && options_.num_devices > 1) {
     pool_->parallel_for(options_.num_devices,
@@ -488,6 +537,26 @@ RunResult Sampler::run_multi_device(
   return result;
 }
 
+RunResult Sampler::run_sharded(std::span<const std::vector<VertexId>> seeds,
+                               std::uint32_t instance_id_offset,
+                               std::span<const std::uint32_t> tags,
+                               const RunControl& control) {
+  // The router addresses every draw by a global tag; an untagged run's
+  // tags are its contiguous ids.
+  std::vector<std::uint32_t> contiguous;
+  if (tags.empty()) {
+    contiguous.resize(seeds.size());
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      contiguous[i] = instance_id_offset + static_cast<std::uint32_t>(i);
+    }
+    tags = contiguous;
+  }
+  const ShardRouter router(*graph_, policy_, spec_, options_,
+                           *shared_.shard_map, ensure_pool(),
+                           shared_.static_ctps.get());
+  return router.run_tagged(seeds, tags, control);
+}
+
 RunResult Sampler::run_batches(std::span<const std::vector<VertexId>> seeds,
                                std::uint32_t batch_size) {
   CSAW_CHECK_MSG(batch_size >= 1, "batch_size must be at least 1");
@@ -505,9 +574,20 @@ RunResult Sampler::run_batches(std::span<const std::vector<VertexId>> seeds,
     // Shifting the offset keeps each instance's global id — and therefore
     // its counter-based RNG draws — identical to a single monolithic run.
     const RunResult batch = dispatch(seeds.subspan(begin, end - begin),
-                                     options_.instance_id_offset + begin);
+                                     options_.instance_id_offset + begin, {},
+                                     {});
 
     merge_group(result, batch, begin, end, oom_total, any_oom);
+    if (batch.mode != decision_.resolved) {  // a sharded chunk fell back
+      result.mode = batch.mode;
+      result.mode_reason = batch.mode_reason;
+    }
+    if (batch.shard.has_value()) {
+      ShardMetrics shard = *batch.shard;
+      for (std::uint32_t& i : shard.failed) i += begin;  // run-local ids
+      if (!result.shard.has_value()) result.shard.emplace();
+      result.shard->accumulate(shard);
+    }
     // Batches stream sequentially through the device(s): makespans add.
     result.sim_seconds += batch.sim_seconds;
     if (result.device_seconds.size() < batch.device_seconds.size()) {

@@ -11,6 +11,8 @@
 #include "core/run_result.hpp"
 #include "gpusim/device.hpp"
 #include "oom/oom_engine.hpp"
+#include "shard/partition_map.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 
@@ -23,6 +25,26 @@ enum class MemoryAssumption {
   kMeasure,  ///< compare graph.bytes() against the device budget
   kExceeds,  ///< treat the graph as exceeding device memory
   kFits,     ///< treat the graph as fitting device memory
+};
+
+/// Transport knobs of ExecutionMode::kSharded (src/shard/router.hpp). A
+/// shard worker's engine knobs — seed, select, device_params and the host
+/// pool — are the SamplerOptions every other backend reads.
+struct ShardOptions {
+  /// Shard workers. kAuto resolves to kSharded when this exceeds 1; an
+  /// explicit kSharded with 1 runs one worker that never forwards.
+  std::uint32_t shards = 1;
+  /// Max walkers packed into one WalkerEnvelope.
+  std::uint32_t envelope_capacity = 64;
+  /// Max envelopes queued at one shard's ingress; a full queue
+  /// backpressures the sender (head-of-line, retried next round).
+  std::uint32_t queue_capacity = 32;
+  /// Delivery attempts per envelope and the backoff between them. An
+  /// envelope failing every attempt fails its walkers' instances.
+  RetryPolicy retry;
+  /// Optional deterministic fault injector consulted per delivery
+  /// attempt. nullptr (the default) means a fault-free transport.
+  std::shared_ptr<FaultInjector> faults;
 };
 
 /// Every knob of every execution mode in one struct. The facade reads the
@@ -44,7 +66,7 @@ struct SamplerOptions {
 
   // --- Device topology.
   /// Devices to spread instances over. kAuto resolves to kMultiDevice
-  /// when this exceeds 1.
+  /// when this exceeds 1 and the run does not shard (ShardOptions).
   std::uint32_t num_devices = 1;
   sim::DeviceParams device_params;
 
@@ -97,6 +119,9 @@ struct SamplerOptions {
   /// nullptr (the default) means fault-free paged I/O.
   std::shared_ptr<FaultInjector> transfer_faults;
 
+  // --- Sharded walks, used whenever kSharded is the resolved mode.
+  ShardOptions shard;
+
   // --- Auto-selection inputs.
   MemoryAssumption memory_assumption = MemoryAssumption::kMeasure;
   /// Fraction of DeviceParams::memory_bytes the CSR may occupy before
@@ -119,6 +144,32 @@ struct ModeDecision {
   bool out_of_memory = false;
   /// Human-readable selection rationale, including fallbacks.
   std::string reason;
+};
+
+/// Whether `graph` is over the device-memory budget auto selection pages
+/// at: `memory_assumption` when it is not kMeasure, else the CSR
+/// footprint against memory_budget_fraction of device memory.
+bool graph_exceeds_budget(const CsrGraph& graph, const SamplerOptions& options);
+
+/// Per-graph state a Sampler builds on first need and any number of
+/// Samplers over the same graph may share (Sampler::attach): the service
+/// tier keeps one per registered graph so partitions, cache slots and
+/// CTPS rows stay warm across batches. Null fields are built lazily.
+struct SharedGraphState {
+  /// Out-of-memory partitioning into SamplerOptions::num_partitions
+  /// ranges (checked when the out-of-memory engine consumes it).
+  std::shared_ptr<const PartitionedGraph> parts;
+  /// Persistent demand-driven cache (SamplerOptions::oom_demand_cache),
+  /// used by single-device paging only — multi-device groups build
+  /// private caches, since each simulated device has its own memory.
+  /// Attaching one implies its partitioning.
+  std::shared_ptr<PartitionCache> cache;
+  /// kSharded vertex ownership over ShardOptions::shards workers.
+  std::shared_ptr<const ShardPartitionMap> shard_map;
+  /// Per-vertex CTPS table over the graph and the policy's static
+  /// EDGEBIAS (core/static_ctps.hpp); stays null for policies and specs
+  /// make_static_ctps cannot serve.
+  std::shared_ptr<StaticCtpsTable> static_ctps;
 };
 
 /// Non-empty when `spec` can only run on the in-memory engine, naming the
@@ -161,7 +212,8 @@ struct RunControl {
 };
 
 /// The C-SAW front door: one facade over the in-memory engine (paper
-/// §IV), the out-of-memory engine (§V) and multi-device execution (§V-D).
+/// §IV), the out-of-memory engine (§V), multi-device execution (§V-D) and
+/// sharded walks (src/shard/).
 /// Users pick an algorithm (three bias hooks, or a registry id), hand in
 /// seeds, and get one RunResult back; which backend executed is an
 /// auto-selected detail, recorded in decision().
@@ -219,7 +271,7 @@ class Sampler {
   /// execution mode like any other run (multi-device splits the tag span
   /// with the seed span). Re-entrancy contract: one Sampler must run one
   /// call at a time, but any number of Samplers may share one executor
-  /// pool (set_executor) and one partitioning (set_partitions) — and
+  /// pool (set_executor) and one SharedGraphState (attach) — and
   /// those Samplers may run *concurrently*, each driven by its own
   /// thread, up to the pool's external-slot capacity
   /// (sim::ThreadPool::max_workers()): every driving thread holds a
@@ -227,6 +279,8 @@ class Sampler {
   /// simultaneous runs never aliases. csaw::Service uses exactly this —
   /// one batch-runner thread per in-flight batch, one shared pool sized
   /// to max_concurrent_batches — to overlap independent-graph batches.
+  /// Under kSharded, a run whose instances do not each hold exactly one
+  /// seed executes in memory, and its RunResult::mode_reason says so.
   RunResult run_tagged(std::span<const std::vector<VertexId>> seeds,
                        std::span<const std::uint32_t> tags);
 
@@ -249,59 +303,49 @@ class Sampler {
   /// run_tagged's re-entrancy contract).
   void set_executor(std::shared_ptr<sim::ThreadPool> pool);
 
-  /// Shares a prebuilt partitioning for the out-of-memory backend instead
-  /// of building one on first dispatch — the service's graph registry
-  /// partitions a graph once and reuses it across every batch. `parts`
-  /// must partition this sampler's graph into options().num_partitions
-  /// ranges (checked when the out-of-memory engine consumes it).
-  void set_partitions(std::shared_ptr<const PartitionedGraph> parts);
+  /// Shares per-graph state built elsewhere (the service's graph
+  /// registry) instead of building it on first need. Null fields stay
+  /// lazy; a table or map over a different graph is rejected (checked).
+  void attach(SharedGraphState state);
 
-  /// Shares a persistent partition cache for the demand-cache OOM path
-  /// (SamplerOptions::oom_demand_cache): the service tier keeps one cache
-  /// per paged graph so partitions stay warm across batches. Implies
-  /// set_partitions with the cache's partitioning. Single-device paging
-  /// only — multi-device groups build private caches (each simulated
-  /// device has its own memory).
-  void set_partition_cache(std::shared_ptr<PartitionCache> cache);
+  /// Builds now whatever shared state the resolved mode needs and is not
+  /// attached yet; every run does this first. The service calls it to
+  /// size the demand cache and publish the state before the batch runs.
+  void prepare();
 
-  /// Shares a per-vertex CTPS table (core/static_ctps.hpp) over this
-  /// sampler's graph and the same static EDGEBIAS as its policy (the
-  /// uniform 1 when it sets none), instead of creating one with
-  /// make_static_ctps on the first run — the service keeps one table per
-  /// (graph, algorithm) so rows stay warm across batches. Used only when
-  /// uses_static_ctps(policy(), spec()) holds; null restores the lazy
-  /// per-sampler table.
-  void set_static_ctps(std::shared_ptr<StaticCtpsTable> table);
+  /// The attached or built shared state.
+  const SharedGraphState& shared_state() const noexcept { return shared_; }
 
  private:
   /// Dispatches one run with an explicit global-id base offset (the
   /// batched path shifts it per chunk) or explicit per-instance tags
-  /// (the service path; tags win when non-empty). `cancel` /
-  /// `instance_cancel` carry the RunControl handles; the multi-device
-  /// path splits the instance_cancel span alongside the seed span.
+  /// (the service path; tags win when non-empty). The multi-device path
+  /// splits `control`'s per-instance handles alongside the seed span.
   RunResult dispatch(std::span<const std::vector<VertexId>> seeds,
                      std::uint32_t instance_id_offset,
-                     std::span<const std::uint32_t> tags = {},
-                     CancelToken cancel = {},
-                     std::span<const CancelToken> instance_cancel = {},
-                     const SampleStore::CompletionCallback& on_complete = {});
+                     std::span<const std::uint32_t> tags,
+                     const RunControl& control);
   RunResult run_in_memory(std::span<const std::vector<VertexId>> seeds,
                           std::uint32_t instance_id_offset,
                           std::span<const std::uint32_t> tags,
-                          std::uint32_t device_id, CancelToken cancel,
-                          std::span<const CancelToken> instance_cancel,
-                          const SampleStore::CompletionCallback& on_complete);
-  RunResult run_out_of_memory(
-      std::span<const std::vector<VertexId>> seeds,
-      std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-      std::uint32_t device_id, CancelToken cancel,
-      std::span<const CancelToken> instance_cancel,
-      const SampleStore::CompletionCallback& on_complete);
-  RunResult run_multi_device(
-      std::span<const std::vector<VertexId>> seeds,
-      std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-      CancelToken cancel, std::span<const CancelToken> instance_cancel,
-      const SampleStore::CompletionCallback& on_complete);
+                          std::uint32_t device_id, const RunControl& control);
+  RunResult run_out_of_memory(std::span<const std::vector<VertexId>> seeds,
+                              std::uint32_t instance_id_offset,
+                              std::span<const std::uint32_t> tags,
+                              std::uint32_t device_id,
+                              const RunControl& control);
+  RunResult run_multi_device(std::span<const std::vector<VertexId>> seeds,
+                             std::uint32_t instance_id_offset,
+                             std::span<const std::uint32_t> tags,
+                             const RunControl& control);
+  RunResult run_sharded(std::span<const std::vector<VertexId>> seeds,
+                        std::uint32_t instance_id_offset,
+                        std::span<const std::uint32_t> tags,
+                        const RunControl& control);
+  /// The engine configuration of one run (or one device group's run).
+  EngineConfig run_config(std::uint32_t instance_id_offset,
+                          std::span<const std::uint32_t> tags,
+                          const RunControl& control) const;
 
   /// Creates the run-wide host pool on first use (width from
   /// num_threads / CSAW_THREADS); null when the resolved width is serial.
@@ -314,26 +358,13 @@ class Sampler {
   SamplingSpec spec_;
   SamplerOptions options_;
   ModeDecision decision_;
-  /// Built lazily on the first out-of-memory dispatch and shared by every
-  /// subsequent engine (batched serving partitions once, not per batch).
-  std::shared_ptr<const PartitionedGraph> parts_;
-  /// Demand-cache path only: the persistent residency cache shared by
-  /// every single-device OOM engine this sampler runs (set_partition_cache
-  /// or lazily created with resident_partitions slots).
-  std::shared_ptr<PartitionCache> cache_;
-  /// Static-bias walk specs only: the CTPS table shared by every engine
-  /// and device group this sampler runs (set_static_ctps, or created by
-  /// the first dispatch before multi-device groups race).
-  std::shared_ptr<StaticCtpsTable> static_ctps_;
+  /// Attached or built by prepare() before the first engine runs, so
+  /// multi-device groups never race to create it; reused by every later
+  /// run and batch.
+  SharedGraphState shared_;
   /// The persistent host thread pool shared by every device of this
   /// sampler (and reused across runs/batches). Null while serial.
   std::shared_ptr<sim::ThreadPool> pool_;
-  /// Run-scoped trace attribution, set from RunControl for the duration
-  /// of one run_tagged dispatch (a Sampler runs one call at a time, so a
-  /// member is sound; the multi-device path shares it across groups —
-  /// TraceRecorder is thread-safe). Null while tracing is off.
-  telemetry::TraceRecorder* trace_ = nullptr;
-  std::uint64_t trace_batch_ = 0;
 };
 
 }  // namespace csaw

@@ -250,7 +250,7 @@ struct ServiceStats {
   // --- Sharded traffic through the walk-shard router
   // (ServiceConfig::shards > 1; all zero when unsharded or when no
   // batch qualified for the routed path).
-  std::uint64_t sharded_batches = 0;  ///< batches served by the ShardRouter
+  std::uint64_t sharded_batches = 0;  ///< batches run in kSharded mode
   /// Walkers that crossed a shard boundary (one count per hop).
   std::uint64_t forwarded_walkers = 0;
   std::uint64_t shard_envelopes = 0;  ///< envelopes delivered

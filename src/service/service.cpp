@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "algorithms/registry.hpp"
-#include "shard/router.hpp"
 #include "util/check.hpp"
 
 namespace csaw {
@@ -147,20 +147,7 @@ void Service::add_graph(std::string name,
   // The footprint-vs-budget measure kAuto applies per batch, computed
   // once at registration so graphs() can report the residency plan before
   // any request runs.
-  switch (config_.options.memory_assumption) {
-    case MemoryAssumption::kExceeds:
-      entry.paged = true;
-      break;
-    case MemoryAssumption::kFits:
-      entry.paged = false;
-      break;
-    case MemoryAssumption::kMeasure:
-      entry.paged =
-          static_cast<double>(entry.graph->bytes()) >
-          config_.options.memory_budget_fraction *
-              static_cast<double>(config_.options.device_params.memory_bytes);
-      break;
-  }
+  entry.paged = graph_exceeds_budget(*entry.graph, config_.options);
   std::lock_guard<std::mutex> lock(mu_);
   const bool inserted = graphs_.emplace(std::move(name), std::move(entry))
                             .second;
@@ -971,18 +958,26 @@ void Service::run_batch(std::vector<Pending> batch) {
                   {"requests", std::to_string(num_requests)},
                   {"instances", std::to_string(instances)}});
   }
+  std::vector<RequestOutcome> outcomes(num_requests);
+  std::optional<RunResult> whole;
+  std::vector<RunResult> results;
+  std::string error;
   try {
+    // The graph and the per-graph state its earlier batches built.
+    const SampleRequest& head = batch.front().request;
     std::shared_ptr<const CsrGraph> graph;
-    std::shared_ptr<const PartitionedGraph> parts;
-    std::shared_ptr<const ShardPartitionMap> shard_map;
-    bool paged = false;
+    SharedGraphState state;
+    std::uint32_t paged_graphs = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const GraphEntry& entry = graphs_.at(batch.front().request.graph);
+      const GraphEntry& entry = graphs_.at(head.graph);
       graph = entry.graph;
-      parts = entry.parts;
-      shard_map = entry.shard_map;
-      paged = entry.paged;
+      const auto table = entry.static_ctps.find(head.algorithm);
+      state = {entry.parts, entry.cache, entry.shard_map,
+               table == entry.static_ctps.end() ? nullptr : table->second};
+      for (const auto& [name, other] : graphs_) {
+        if (other.paged) ++paged_graphs;
+      }
     }
 
     // One flat instance list: request r's instances occupy a contiguous
@@ -1067,151 +1062,81 @@ void Service::run_batch(std::vector<Pending> batch) {
       };
     }
 
-    const SampleRequest& head = batch.front().request;
-    const AlgorithmSetup setup = make_algorithm(
-        head.algorithm, head.depth_or_length, head.neighbor_size);
-    std::shared_ptr<StaticCtpsTable> static_ctps;
+    // The Sampler picks the backend (kAuto: sharded, paged, multi-device
+    // or in-memory) and builds whatever per-graph state the registry
+    // entry still lacks. Demand-cache paging needs chain-granular
+    // execution and a single simulated device; otherwise paged batches
+    // run the legacy plan.
+    SamplerOptions options = config_.options;
+    options.oom_demand_cache = config_.paged_demand_cache &&
+                               options.schedule == Schedule::kPipelined &&
+                               options.num_devices == 1;
+    options.shard = {.shards = config_.shards,
+                     .envelope_capacity = config_.shard_envelope_capacity,
+                     .queue_capacity = config_.shard_queue_capacity,
+                     .retry = RetryPolicy{config_.shard_retry_limit,
+                                          config_.shard_retry_backoff},
+                     .faults = config_.shard_faults};
+    Sampler sampler(*graph,
+                    make_algorithm(head.algorithm, head.depth_or_length,
+                                   head.neighbor_size),
+                    options);
+    if (pool_ != nullptr) sampler.set_executor(pool_);
+    sampler.attach(std::move(state));
+    // Built outside the lock and published for every later batch; the
+    // per-graph batch serialization (graphs_in_flight_) guarantees no
+    // concurrent batch builds the same graph's state twice.
+    sampler.prepare();
+    const SharedGraphState& shared = sampler.shared_state();
+    const bool cached = options.oom_demand_cache &&
+                        sampler.decision().resolved ==
+                            ExecutionMode::kOutOfMemory;
+    if (cached) {
+      // Per-graph device-budget policy: every *registered* paged graph
+      // gets an equal slice of the budget, so concurrent paged traffic
+      // contends through bounded caches instead of each batch assuming
+      // the whole device. Registration count (not live traffic) keeps
+      // the capacity deterministic for a fixed registry; a later
+      // registration shrinks an existing cache here.
+      const double budget =
+          options.memory_budget_fraction *
+          static_cast<double>(options.device_params.memory_bytes) /
+          static_cast<double>(std::max(paged_graphs, 1u));
+      shared.cache->set_capacity(shared.cache->parts().partitions_fitting(
+          static_cast<std::uint64_t>(budget)));
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const auto& tables = graphs_.at(head.graph).static_ctps;
-      const auto it = tables.find(head.algorithm);
-      if (it != tables.end()) static_ctps = it->second;
-    }
-    if (static_ctps == nullptr) {
-      // First static-bias batch of this algorithm on this graph: build
-      // the (empty, lazily filled) table outside the lock and publish it.
-      // Algorithms the table cannot serve get null and publish nothing.
-      static_ctps = make_static_ctps(*graph, setup.policy, setup.spec);
-      if (static_ctps != nullptr) {
-        std::lock_guard<std::mutex> lock(mu_);
-        static_ctps = graphs_.at(head.graph)
-                          .static_ctps.try_emplace(head.algorithm, static_ctps)
-                          .first->second;
+      GraphEntry& entry = graphs_.at(head.graph);
+      entry.parts = shared.parts;
+      entry.cache = shared.cache;
+      entry.shard_map = shared.shard_map;
+      if (cached) entry.cache_capacity = shared.cache->capacity();
+      if (shared.static_ctps != nullptr) {
+        entry.static_ctps[head.algorithm] = shared.static_ctps;
       }
     }
-    // Sharded routing (ServiceConfig::shards > 1): walk-shaped batches
-    // on in-memory graphs with single-seed instances run through the
-    // ShardRouter; anything else silently takes the ordinary path.
-    // Samples are byte-identical either way — the router draws from the
-    // same tag-addressed Philox streams.
-    bool single_seeded = true;
-    for (const std::vector<VertexId>& list : seeds) {
-      single_seeded = single_seeded && list.size() == 1;
-    }
-    const bool route_shards = config_.shards > 1 && !paged &&
-                              single_seeded &&
-                              ShardRouter::shardable_spec(setup.spec);
-    RunResult whole;
-    if (route_shards) {
-      if (shard_map == nullptr) {
-        // First sharded batch on this graph: build the shared vertex
-        // partitioning once, outside the lock, and publish it. Per-graph
-        // batch serialization (graphs_in_flight_) guarantees no
-        // concurrent batch builds the same graph's map twice.
-        shard_map =
-            std::make_shared<const ShardPartitionMap>(*graph, config_.shards);
-        std::lock_guard<std::mutex> lock(mu_);
-        graphs_.at(head.graph).shard_map = shard_map;
-      }
-      ShardOptions shard_options;
-      shard_options.shards = config_.shards;
-      shard_options.num_threads = config_.options.num_threads;
-      shard_options.envelope_capacity = config_.shard_envelope_capacity;
-      shard_options.queue_capacity = config_.shard_queue_capacity;
-      shard_options.retry =
-          RetryPolicy{config_.shard_retry_limit, config_.shard_retry_backoff};
-      shard_options.select = config_.options.select;
-      shard_options.seed = config_.options.seed;
-      shard_options.device_params = config_.options.device_params;
-      shard_options.faults = config_.shard_faults;
-      ShardRouter router(*graph, setup, shard_options, shard_map);
-      if (pool_ != nullptr) router.set_executor(pool_);
-      router.set_static_ctps(static_ctps);
-      whole = router.run_tagged(seeds, tags, control);
-    } else {
-      // Demand-cache routing needs chain-granular execution and a single
-      // simulated device; otherwise the batch runs the legacy paged path.
-      const bool demand_cache = config_.paged_demand_cache &&
-                                config_.options.schedule ==
-                                    Schedule::kPipelined &&
-                                config_.options.num_devices == 1;
-      SamplerOptions batch_options = config_.options;
-      batch_options.oom_demand_cache = demand_cache;
-      Sampler sampler(*graph, setup, batch_options);
-      if (pool_ != nullptr) sampler.set_executor(pool_);
-      sampler.set_static_ctps(static_ctps);
-      if (sampler.decision().out_of_memory) {
-        if (parts == nullptr) {
-          // First paged batch on this graph: build the shared partitioning
-          // once, outside the lock, and publish it for every later batch.
-          // Per-graph batch serialization (graphs_in_flight_) guarantees no
-          // concurrent batch builds the same graph's partitioning twice.
-          parts = std::make_shared<const PartitionedGraph>(
-              *graph, config_.options.num_partitions);
-          std::lock_guard<std::mutex> lock(mu_);
-          graphs_.at(head.graph).parts = parts;
-        }
-        sampler.set_partitions(parts);
-        if (demand_cache) {
-          // Per-graph device-budget policy: every *registered* paged graph
-          // gets an equal slice of the budget, so concurrent paged traffic
-          // contends through bounded caches instead of each batch assuming
-          // the whole device. Registration count (not live traffic) keeps
-          // the capacity deterministic for a fixed registry.
-          std::shared_ptr<PartitionCache> cache;
-          std::uint32_t paged_graphs = 0;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            for (const auto& [name, entry] : graphs_) {
-              if (entry.paged) ++paged_graphs;
-            }
-            cache = graphs_.at(head.graph).cache;
-          }
-          const double budget =
-              config_.options.memory_budget_fraction *
-              static_cast<double>(
-                  config_.options.device_params.memory_bytes) /
-              static_cast<double>(std::max(paged_graphs, 1u));
-          const std::uint32_t capacity =
-              parts->partitions_fitting(static_cast<std::uint64_t>(budget));
-          if (cache == nullptr) {
-            cache = std::make_shared<PartitionCache>(
-                parts, capacity, config_.options.num_streams);
-          } else if (cache->capacity() != capacity) {
-            cache->set_capacity(capacity);  // a later registration shrank it
-          }
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            GraphEntry& entry = graphs_.at(head.graph);
-            entry.cache = cache;
-            entry.cache_capacity = capacity;
-          }
-          sampler.set_partition_cache(cache);
-        }
-      }
-      whole = sampler.run_tagged(seeds, tags, control);
-    }
+    whole = sampler.run_tagged(seeds, tags, control);
 
     // Classify every request: a token that fired (client cancel or
     // deadline) fails its request even though the batch completed —
     // partial rows of a cancelled request are discarded, not returned.
-    std::vector<RequestOutcome> outcomes(num_requests);
     for (std::size_t r = 0; r < num_requests; ++r) {
       outcomes[r] = token_outcome(batch[r].run_token, RequestOutcome::kOk);
     }
-    if (whole.shard.has_value() && !whole.shard->failed.empty()) {
+    if (whole->shard.has_value() && !whole->shard->failed.empty()) {
       // A terminally failed shard fails exactly the requests whose
       // instances were resident on (or bound for) it — `failed` holds
       // batch-local instance indices, sorted, so one monotone pass maps
       // them back to request ranges. A token that already fired keeps
       // its truer cancellation outcome.
+      const std::vector<std::uint32_t>& failed = whole->shard->failed;
       std::size_t f = 0;
       std::uint32_t base = 0;
       for (std::size_t r = 0; r < num_requests; ++r) {
         const std::uint32_t count = batch[r].request.num_instances();
         bool hit = false;
-        while (f < whole.shard->failed.size() &&
-               whole.shard->failed[f] < base + count) {
+        while (f < failed.size() && failed[f] < base + count) {
           hit = true;
           ++f;
         }
@@ -1227,7 +1152,6 @@ void Service::run_batch(std::vector<Pending> batch) {
     // batch down the failure path exactly once. Samples are the request's
     // own bytes; the schedule-shaped fields (sim_seconds, device_seconds,
     // stats, oom) describe the batch the request rode on.
-    std::vector<RunResult> results;
     results.reserve(num_requests);
     std::uint32_t offset = 0;
     for (const Pending& pending : batch) {
@@ -1237,192 +1161,178 @@ void Service::run_batch(std::vector<Pending> batch) {
       for (std::uint32_t i = 0; i < count; ++i) {
         // Row moves, not per-edge copies: the batch store is dead after
         // the split.
-        result.samples.put(i, whole.samples.take(offset + i));
+        result.samples.put(i, whole->samples.take(offset + i));
       }
-      result.sim_seconds = whole.sim_seconds;
-      result.device_seconds = whole.device_seconds;
-      result.stats = whole.stats;
-      result.mode = whole.mode;
-      result.mode_reason = whole.mode_reason;
-      result.oom = whole.oom;
-      result.shard = whole.shard;
+      result.sim_seconds = whole->sim_seconds;
+      result.device_seconds = whole->device_seconds;
+      result.stats = whole->stats;
+      result.mode = whole->mode;
+      result.mode_reason = whole->mode_reason;
+      result.oom = whole->oom;
+      result.shard = whole->shard;
       offset += count;
       results.push_back(std::move(result));
     }
-
-    // Book the batch before fulfilling any promise: a client waking on
-    // its future must already see this batch in stats(). sampled_edges
-    // sums the *completed* requests' own slices — a cancelled request's
-    // partial rows are charged to nobody, so per-tenant edge accounting
-    // closes exactly under cancellation.
-    // Latency + distribution bookkeeping (outside mu_ — the histograms
-    // are their own sync): host in-flight time per request, the batch's
-    // simulated makespan (once per batch, once per rider), and the
-    // paged retry count.
-    const auto retired = std::chrono::steady_clock::now();
-    h_batch_sim_->observe(whole.sim_seconds);
-    if (whole.oom.has_value()) {
-      h_transfer_retries_->observe(
-          static_cast<double>(whole.oom->transfer_retries));
-    }
-    for (std::size_t r = 0; r < num_requests; ++r) {
-      h_inflight_->observe(elapsed_seconds(batch[r].dispatched, retired));
-      h_inflight_sim_->observe(whole.sim_seconds);
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.batches;
-      if (num_requests > 1) stats_.coalesced_requests += num_requests;
-      stats_.max_batch_requests =
-          std::max<std::uint64_t>(stats_.max_batch_requests, num_requests);
-      stats_.sim_seconds += whole.sim_seconds;
-      kernel_stats_.merge(whole.stats);
-      if (whole.oom.has_value()) {
-        ++stats_.paged_batches;
-        stats_.cache_hits += whole.oom->cache_hits;
-        stats_.cache_evictions += whole.oom->cache_evictions;
-        stats_.cache_prefetch_transfers += whole.oom->prefetch_transfers;
-        stats_.transfer_faults += whole.oom->transfer_faults;
-        stats_.transfer_retries += whole.oom->transfer_retries;
-      }
-      if (whole.shard.has_value()) {
-        ++stats_.sharded_batches;
-        stats_.forwarded_walkers += whole.shard->forwarded_walkers;
-        stats_.shard_envelopes += whole.shard->envelopes;
-        stats_.shard_bytes_forwarded += whole.shard->bytes_forwarded;
-        stats_.shard_envelope_faults += whole.shard->envelope_faults;
-        stats_.shard_envelope_retries += whole.shard->envelope_retries;
-        shard_metrics_.accumulate(*whole.shard);
-      }
-      for (std::size_t r = 0; r < num_requests; ++r) {
-        book_outcome_locked(batch[r].request.tenant, outcomes[r]);
-        if (outcomes[r] == RequestOutcome::kOk) {
-          // A streamed request's rows were moved into its chunk queue at
-          // completion time, so the split store is empty — book from the
-          // stream's edge counter instead (its producer side is done;
-          // StreamState::mu is a leaf lock under mu_).
-          const std::uint64_t edges =
-              batch[r].stream != nullptr
-                  ? detail::stream_edges(*batch[r].stream)
-                  : results[r].sampled_edges();
-          stats_.sampled_edges += edges;
-          tenants_.at(batch[r].request.tenant).stats.sampled_edges += edges;
-        }
-        retire_timers_locked(batch[r].ticket);
-      }
-    }
-
-    for (std::size_t r = 0; r < num_requests; ++r) {
-      if (trace != nullptr) {
-        trace->end_span(batch[r].request_span, "request",
-                        {{"outcome", to_string(outcomes[r])},
-                         {"batch", std::to_string(batch_id)}});
-      }
-      if (batch[r].stream != nullptr) {
-        // Terminal stream transition: chunks already queued drain first,
-        // then the consumer sees nullopt (kOk) or the typed outcome.
-        detail::finish_stream(
-            *batch[r].stream, outcomes[r],
-            outcomes[r] == RequestOutcome::kOk
-                ? std::string()
-                : "request " + to_string(outcomes[r]) + " mid-batch");
-        continue;
-      }
-      if (outcomes[r] != RequestOutcome::kOk) {
-        batch[r].promise.set_exception(std::make_exception_ptr(RequestError(
-            outcomes[r],
-            "request " + to_string(outcomes[r]) + " mid-batch")));
-        continue;
-      }
-      try {
-        batch[r].promise.set_value(std::move(results[r]));
-      } catch (...) {
-        // A set_value failure concerns this request alone: move its
-        // count from the kOk slot to kInternal and hand its client the
-        // error, so the batch is never counted twice and no request
-        // lands in both columns.
-        const std::exception_ptr error = std::current_exception();
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          OutcomeCounts& service = stats_.outcomes;
-          OutcomeCounts& tenant =
-              tenants_.at(batch[r].request.tenant).stats.outcomes;
-          --service[RequestOutcome::kOk];
-          ++service[RequestOutcome::kInternal];
-          --tenant[RequestOutcome::kOk];
-          ++tenant[RequestOutcome::kInternal];
-        }
-        try {
-          batch[r].promise.set_exception(error);
-        } catch (const std::future_error&) {
-        }
-      }
-    }
-    if (trace != nullptr) {
-      trace->end_span(
-          batch_span, "batch",
-          {{"outcome", "completed"},
-           {"sim_seconds", std::to_string(whole.sim_seconds)}});
-    }
   } catch (...) {
     // A failed batch fails every request in it; the service itself stays
-    // up. Fulfillment has its own handler above, so this path only runs
-    // before anything was booked — every request is counted completed or
-    // failed, never both. The exception is classified into the outcome
-    // taxonomy: a TransferError (paged I/O that exhausted its retry
-    // budget) is an expected, isolated fault — the partition cache has
-    // already rolled itself consistent, so the next batch on the same
-    // graph proceeds normally.
-    const std::exception_ptr error = std::current_exception();
+    // up. Nothing was booked yet, so every request is counted completed
+    // or failed, never both. The exception is classified into the
+    // outcome taxonomy: a TransferError (paged I/O that exhausted its
+    // retry budget) is an expected, isolated fault — the partition cache
+    // has already rolled itself consistent, so the next batch on the
+    // same graph proceeds normally.
+    whole.reset();
+    results.clear();
     RequestOutcome batch_outcome = RequestOutcome::kInternal;
-    std::string what = "batch failed";
+    error = "batch failed";
     try {
-      std::rethrow_exception(error);
+      throw;
     } catch (const TransferError& e) {
       batch_outcome = RequestOutcome::kTransferFailed;
-      what = e.what();
+      error = e.what();
     } catch (const std::exception& e) {
-      what = e.what();
+      error = e.what();
     } catch (...) {
     }
     // Requests whose own token fired before the batch died keep their
     // truer cancellation outcome; the rest carry the batch's.
-    std::vector<RequestOutcome> outcomes(num_requests);
     for (std::size_t r = 0; r < num_requests; ++r) {
       outcomes[r] = token_outcome(batch[r].run_token, batch_outcome);
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.batches;
-      for (std::size_t r = 0; r < num_requests; ++r) {
-        book_outcome_locked(batch[r].request.tenant, outcomes[r]);
-        retire_timers_locked(batch[r].ticket);
-      }
-    }
-    const auto retired = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < num_requests; ++r) {
-      // Failed requests still report their host in-flight latency (the
-      // simulated histograms only see completed batches).
-      h_inflight_->observe(elapsed_seconds(batch[r].dispatched, retired));
-      if (trace != nullptr) {
-        trace->end_span(batch[r].request_span, "request",
-                        {{"outcome", to_string(outcomes[r])},
-                         {"batch", std::to_string(batch_id)}});
-      }
-      const std::string message = to_string(outcomes[r]) + ": " + what;
-      if (batch[r].stream != nullptr) {
-        // Chunks completed before the fault stay deliverable; the typed
-        // outcome surfaces once the consumer drains them.
-        detail::finish_stream(*batch[r].stream, outcomes[r], message);
-        continue;
-      }
-      batch[r].promise.set_exception(
-          std::make_exception_ptr(RequestError(outcomes[r], message)));
-    }
-    if (trace != nullptr) {
+  }
+  retire_batch(batch, outcomes, whole ? &*whole : nullptr, results, error,
+               batch_id);
+  if (trace != nullptr) {
+    if (whole.has_value()) {
       trace->end_span(batch_span, "batch",
-                      {{"outcome", "failed"}, {"error", what}});
+                      {{"outcome", "completed"},
+                       {"sim_seconds", std::to_string(whole->sim_seconds)}});
+    } else {
+      trace->end_span(batch_span, "batch",
+                      {{"outcome", "failed"}, {"error", error}});
+    }
+  }
+}
+
+void Service::retire_batch(std::vector<Pending>& batch,
+                           const std::vector<RequestOutcome>& outcomes,
+                           const RunResult* whole,
+                           std::vector<RunResult>& results,
+                           const std::string& error, std::uint64_t batch_id) {
+  const std::size_t num_requests = batch.size();
+  telemetry::TraceRecorder* const trace = config_.trace.get();
+  // Latency + distribution bookkeeping (outside mu_ — the histograms are
+  // their own sync): every request's host in-flight time; for a
+  // completed batch also its simulated makespan (once per batch, once
+  // per rider) and its paged retry count.
+  const auto retired = std::chrono::steady_clock::now();
+  if (whole != nullptr) {
+    h_batch_sim_->observe(whole->sim_seconds);
+    if (whole->oom.has_value()) {
+      h_transfer_retries_->observe(
+          static_cast<double>(whole->oom->transfer_retries));
+    }
+  }
+  for (std::size_t r = 0; r < num_requests; ++r) {
+    h_inflight_->observe(elapsed_seconds(batch[r].dispatched, retired));
+    if (whole != nullptr) h_inflight_sim_->observe(whole->sim_seconds);
+  }
+
+  // Book the batch before fulfilling any promise: a client waking on its
+  // future must already see this batch in stats(). sampled_edges sums the
+  // *completed* requests' own slices — a cancelled request's partial rows
+  // are charged to nobody, so per-tenant edge accounting closes exactly
+  // under cancellation.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.batches;
+    if (whole != nullptr) {
+      if (num_requests > 1) stats_.coalesced_requests += num_requests;
+      stats_.max_batch_requests =
+          std::max<std::uint64_t>(stats_.max_batch_requests, num_requests);
+      stats_.sim_seconds += whole->sim_seconds;
+      kernel_stats_.merge(whole->stats);
+      if (whole->oom.has_value()) {
+        ++stats_.paged_batches;
+        stats_.cache_hits += whole->oom->cache_hits;
+        stats_.cache_evictions += whole->oom->cache_evictions;
+        stats_.cache_prefetch_transfers += whole->oom->prefetch_transfers;
+        stats_.transfer_faults += whole->oom->transfer_faults;
+        stats_.transfer_retries += whole->oom->transfer_retries;
+      }
+      if (whole->shard.has_value()) {
+        ++stats_.sharded_batches;
+        stats_.forwarded_walkers += whole->shard->forwarded_walkers;
+        stats_.shard_envelopes += whole->shard->envelopes;
+        stats_.shard_bytes_forwarded += whole->shard->bytes_forwarded;
+        stats_.shard_envelope_faults += whole->shard->envelope_faults;
+        stats_.shard_envelope_retries += whole->shard->envelope_retries;
+        shard_metrics_.accumulate(*whole->shard);
+      }
+    }
+    for (std::size_t r = 0; r < num_requests; ++r) {
+      book_outcome_locked(batch[r].request.tenant, outcomes[r]);
+      if (outcomes[r] == RequestOutcome::kOk) {
+        // A streamed request's rows were moved into its chunk queue at
+        // completion time, so the split store is empty — book from the
+        // stream's edge counter instead (its producer side is done;
+        // StreamState::mu is a leaf lock under mu_).
+        const std::uint64_t edges =
+            batch[r].stream != nullptr
+                ? detail::stream_edges(*batch[r].stream)
+                : results[r].sampled_edges();
+        stats_.sampled_edges += edges;
+        tenants_.at(batch[r].request.tenant).stats.sampled_edges += edges;
+      }
+      retire_timers_locked(batch[r].ticket);
+    }
+  }
+
+  for (std::size_t r = 0; r < num_requests; ++r) {
+    const RequestOutcome outcome = outcomes[r];
+    if (trace != nullptr) {
+      trace->end_span(batch[r].request_span, "request",
+                      {{"outcome", to_string(outcome)},
+                       {"batch", std::to_string(batch_id)}});
+    }
+    const std::string message =
+        outcome == RequestOutcome::kOk ? std::string()
+        : whole != nullptr ? "request " + to_string(outcome) + " mid-batch"
+                           : to_string(outcome) + ": " + error;
+    if (batch[r].stream != nullptr) {
+      // Terminal stream transition: chunks already queued (including
+      // those completed before a fault) drain first, then the consumer
+      // sees nullopt (kOk) or the typed outcome.
+      detail::finish_stream(*batch[r].stream, outcome, message);
+      continue;
+    }
+    if (outcome != RequestOutcome::kOk) {
+      batch[r].promise.set_exception(
+          std::make_exception_ptr(RequestError(outcome, message)));
+      continue;
+    }
+    try {
+      batch[r].promise.set_value(std::move(results[r]));
+    } catch (...) {
+      // A set_value failure concerns this request alone: move its count
+      // from the kOk slot to kInternal and hand its client the error, so
+      // the batch is never counted twice and no request lands in both
+      // columns.
+      const std::exception_ptr set_error = std::current_exception();
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        OutcomeCounts& service = stats_.outcomes;
+        OutcomeCounts& tenant =
+            tenants_.at(batch[r].request.tenant).stats.outcomes;
+        --service[RequestOutcome::kOk];
+        ++service[RequestOutcome::kInternal];
+        --tenant[RequestOutcome::kOk];
+        ++tenant[RequestOutcome::kInternal];
+      }
+      try {
+        batch[r].promise.set_exception(set_error);
+      } catch (const std::future_error&) {
+      }
     }
   }
 }

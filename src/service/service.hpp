@@ -43,10 +43,11 @@ class ServiceError : public std::runtime_error {
 /// tuning guidance in docs/SERVING.md.
 struct ServiceConfig {
   /// Execution options every batch runs with. `mode` is normally left on
-  /// kAuto so each batch picks in-memory / out-of-memory / multi-device
-  /// from its graph's footprint (the facade's existing selection logic);
-  /// instance_id_offset is ignored — the service addresses Philox streams
-  /// through per-request rng_base tags instead.
+  /// kAuto so each batch's Sampler picks sharded / in-memory /
+  /// out-of-memory / multi-device from the spec and its graph's
+  /// footprint; instance_id_offset is ignored — the service addresses
+  /// Philox streams through per-request rng_base tags instead — and
+  /// `shard` and oom_demand_cache are set from the service knobs below.
   SamplerOptions options;
   /// Admission bound: requests queued but not yet dispatched.
   std::uint32_t max_queue_depth = 256;
@@ -99,18 +100,21 @@ struct ServiceConfig {
   /// and ignored when the schedule is not kPipelined or the batch runs
   /// multi-device (private per-device caches there).
   bool paged_demand_cache = true;
-  /// Sharded serving (src/shard/): with shards > 1, walk-shaped
-  /// in-memory batches route through a ShardRouter — the graph's
-  /// vertices partitioned across this many shard workers, walkers
-  /// forwarded over the simulated transport when a step crosses a
-  /// shard boundary. Samples are byte-identical to the unsharded path
-  /// at any shard count (tests/shard/service_shard_test.cpp); what
-  /// changes is the simulated timeline and the failure domains
-  /// (RequestOutcome::kShardFailed). Batches that don't qualify —
-  /// paged graphs, non-walk specs, multi-seed instances — silently run
-  /// the ordinary path. 1 (the default) is exactly today's path.
+  /// Sharded serving (src/shard/): the shard* knobs become every
+  /// batch's SamplerOptions::shard, overriding options.shard. With
+  /// shards > 1 a kAuto Sampler resolves walk-shaped batches on graphs
+  /// that fit to ExecutionMode::kSharded — the graph's vertices
+  /// partitioned across this many shard workers, walkers forwarded over
+  /// the simulated transport when a step crosses a shard boundary.
+  /// Samples are byte-identical to the unsharded path at any shard
+  /// count (tests/shard/service_shard_test.cpp); what changes is the
+  /// simulated timeline and the failure domains
+  /// (RequestOutcome::kShardFailed). Batches that don't qualify — paged
+  /// graphs, non-walk specs, multi-seed instances — take the ordinary
+  /// path, and their RunResult::mode_reason says why. 1 (the default)
+  /// never shards.
   std::uint32_t shards = 1;
-  /// Max walkers per forwarded envelope (ShardOptions twin).
+  /// Max walkers per forwarded envelope.
   std::uint32_t shard_envelope_capacity = 64;
   /// Ingress-queue bound per shard; a full queue backpressures senders.
   std::uint32_t shard_queue_capacity = 32;
@@ -319,25 +323,20 @@ class Service {
   struct GraphEntry {
     std::shared_ptr<const CsrGraph> graph;
     bool paged = false;
-    /// Built by the first paged batch on this graph, under mu_.
+    /// The SharedGraphState of this graph's batches: each batch's
+    /// Sampler is attached these under mu_, builds what is still null
+    /// (Sampler::prepare) outside it, and publishes the result back.
+    /// Per-graph batch serialization (graphs_in_flight_) means at most
+    /// one batch builds or uses them at a time — what makes the lazy
+    /// builds race-free and the unsynchronized cache sound.
     std::shared_ptr<const PartitionedGraph> parts;
-    /// Demand-driven partition cache shared by this graph's paged batches
-    /// (paged_demand_cache). Published under mu_; *used* outside it by at
-    /// most one batch at a time — the per-graph batch serialization
-    /// (graphs_in_flight_) is what makes the unsynchronized cache sound.
     std::shared_ptr<PartitionCache> cache;
+    std::shared_ptr<const ShardPartitionMap> shard_map;
     /// Snapshot of cache->capacity() for graphs() (reading the cache
     /// itself from graphs() would race with an executing batch).
     std::uint32_t cache_capacity = 0;
-    /// Vertex partitioning shared by this graph's sharded batches
-    /// (ServiceConfig::shards > 1). Built by the first routed batch,
-    /// published under mu_; per-graph batch serialization makes the
-    /// lazy build race-free.
-    std::shared_ptr<const ShardPartitionMap> shard_map;
-    /// Per-vertex CTPS tables of this graph's static-bias walk
-    /// algorithms, one per AlgorithmId, so rows stay warm across batches.
-    /// Built by the first such batch outside the lock and published under
-    /// mu_, like shard_map; the tables synchronize their own rows.
+    /// One CTPS table per static-bias walk algorithm; the tables
+    /// synchronize their own rows.
     std::map<AlgorithmId, std::shared_ptr<StaticCtpsTable>> static_ctps;
   };
 
@@ -437,6 +436,16 @@ class Service {
   /// Runs one coalesced batch through a fresh Sampler on the shared pool
   /// and fulfills every promise (batch-runner thread, outside mu_).
   void run_batch(std::vector<Pending> batch);
+  /// The one retire path of a batch, completed or failed: books the
+  /// batch and every request's outcome under one lock, observes the
+  /// latency histograms, ends the request spans, then finishes each
+  /// stream or future. `whole` is the batch's run (null when it failed,
+  /// with `error` its detail); `results[r]` is request r's value when
+  /// outcomes[r] is kOk.
+  void retire_batch(std::vector<Pending>& batch,
+                    const std::vector<RequestOutcome>& outcomes,
+                    const RunResult* whole, std::vector<RunResult>& results,
+                    const std::string& error, std::uint64_t batch_id);
   void dispatcher_main();
   void runner_main();
 

@@ -52,77 +52,56 @@ bool ShardRouter::shardable_spec(const SamplingSpec& spec) {
          !spec.sample_all_neighbors && !spec.variable_neighbor_size;
 }
 
-ShardRouter::ShardRouter(const CsrGraph& graph, AlgorithmSetup setup,
-                         ShardOptions options,
-                         std::shared_ptr<const ShardPartitionMap> map)
-    : graph_(&graph),
-      setup_(std::move(setup)),
-      options_(std::move(options)),
-      map_(std::move(map)) {
-  setup_.policy.validate();
-  CSAW_CHECK(options_.shards >= 1);
-  CSAW_CHECK(options_.envelope_capacity >= 1);
-  CSAW_CHECK(options_.queue_capacity >= 1);
-  CSAW_CHECK(options_.retry.attempts >= 1);
-  CSAW_CHECK_MSG(shardable_spec(setup_.spec),
+ShardRouter::ShardRouter(const CsrGraph& graph, const Policy& policy,
+                         const SamplingSpec& spec,
+                         const SamplerOptions& options,
+                         const ShardPartitionMap& map, sim::ThreadPool* pool,
+                         StaticCtpsTable* static_ctps)
+    : graph_(graph),
+      policy_(policy),
+      spec_(spec),
+      options_(options),
+      map_(map),
+      pool_(pool),
+      static_ctps_(static_ctps),
+      select_(options.select) {
+  const ShardOptions& shard = options_.shard;
+  CSAW_CHECK(shard.shards >= 1);
+  CSAW_CHECK(shard.envelope_capacity >= 1);
+  CSAW_CHECK(shard.queue_capacity >= 1);
+  CSAW_CHECK(shard.retry.attempts >= 1);
+  CSAW_CHECK_MSG(shardable_spec(spec_),
                  "ShardRouter requires a walk-shaped spec");
-  if (!map_) {
-    map_ = std::make_shared<const ShardPartitionMap>(graph, options_.shards);
-  }
-  CSAW_CHECK_MSG(map_->shards() == options_.shards,
+  CSAW_CHECK_MSG(map_.shards() == shard.shards,
                  "partition map shard count mismatch");
-  CSAW_CHECK_MSG(map_->num_vertices() == graph.num_vertices(),
+  CSAW_CHECK_MSG(map_.num_vertices() == graph_.num_vertices(),
                  "partition map built for a different graph");
+  CSAW_CHECK_MSG(static_ctps_ == nullptr || &static_ctps_->graph() == &graph_,
+                 "static CTPS table built over a different graph");
   // Walks sample with replacement; mirror the engines' neighbor-config
   // derivation so SELECT draws the identical coordinates.
-  options_.select.with_replacement = true;
-}
-
-void ShardRouter::set_executor(std::shared_ptr<sim::ThreadPool> pool) {
-  pool_ = std::move(pool);
-  pool_resolved_ = true;
-}
-
-void ShardRouter::set_static_ctps(std::shared_ptr<StaticCtpsTable> table) {
-  CSAW_CHECK_MSG(table == nullptr || &table->graph() == graph_,
-                 "static CTPS table built over a different graph");
-  static_ctps_ = std::move(table);
-}
-
-sim::ThreadPool* ShardRouter::ensure_pool() {
-  if (!pool_resolved_) {
-    const std::uint32_t width =
-        sim::resolve_num_threads(options_.num_threads);
-    if (width > 1) pool_ = std::make_shared<sim::ThreadPool>(width);
-    pool_resolved_ = true;
-  }
-  return pool_.get();
+  select_.with_replacement = true;
 }
 
 RunResult ShardRouter::run_tagged(
     std::span<const std::vector<VertexId>> seeds,
-    std::span<const std::uint32_t> tags, const RunControl& control) {
+    std::span<const std::uint32_t> tags, const RunControl& control) const {
   const std::uint32_t n = static_cast<std::uint32_t>(seeds.size());
   validate_instance_tags(tags, n);
   CSAW_CHECK_MSG(control.instance_cancel.empty() ||
                      control.instance_cancel.size() == seeds.size(),
                  "instance_cancel must hold one token per instance");
-  const std::uint32_t num_shards = options_.shards;
-  const SamplingSpec& spec = setup_.spec;
-  const Policy& policy = setup_.policy;
-  const CsrGraphView view(*graph_);
+  const ShardOptions& options = options_.shard;
+  const std::uint32_t num_shards = options.shards;
+  const SamplingSpec& spec = spec_;
+  const CsrGraphView view(graph_);
   const CounterStream rng(options_.seed);
   const sim::CostModel cost(options_.device_params);
   telemetry::TraceRecorder* trace = control.trace;
-  if (static_ctps_ == nullptr) {
-    static_ctps_ = make_static_ctps(*graph_, policy, spec);
-  }
 
   RunResult result;
-  result.mode = ExecutionMode::kInMemory;
-  result.mode_reason = "sharded: " + std::to_string(num_shards) +
-                       " walk shards over simulated transport";
-  result.samples.reset(n, setup_.spec.fixed_row_length());
+  result.mode = ExecutionMode::kSharded;
+  result.samples.reset(n, spec.fixed_row_length());
   result.device_seconds.assign(num_shards, 0.0);
   if (control.on_instance_complete) {
     result.samples.set_completion_callback(control.on_instance_complete);
@@ -140,8 +119,8 @@ RunResult ShardRouter::run_tagged(
   std::vector<std::deque<WalkerEnvelope>> outbox(num_shards);
   std::vector<std::uint64_t> next_seq(num_shards, 0);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
-    workers.emplace_back(options_.select, num_shards);
-    inbox.emplace_back(options_.queue_capacity);
+    workers.emplace_back(select_, num_shards);
+    inbox.emplace_back(options.queue_capacity);
   }
 
   std::vector<char> failed(n, 0);
@@ -168,17 +147,17 @@ RunResult ShardRouter::run_tagged(
     CSAW_CHECK_MSG(seeds[i].size() == 1,
                    "sharded runs require single-seed instances");
     const VertexId seed = seeds[i][0];
-    CSAW_CHECK_MSG(seed < graph_->num_vertices(),
+    CSAW_CHECK_MSG(seed < graph_.num_vertices(),
                    "seed vertex " << seed << " out of range");
     if (spec.depth == 0) {
       result.samples.complete(i);  // zero-length walk: empty, final
       continue;
     }
-    workers[map_->owner(seed)].residents.push_back(
+    workers[map_.owner(seed)].residents.push_back(
         ShardWalker{i, tags[i], seed, kInvalidVertex, seed, 0});
   }
 
-  sim::ThreadPool* pool = ensure_pool();
+  sim::ThreadPool* pool = pool_;
   std::uint64_t round = 0;
 
   // Compute superstep body for one shard: step every resident walker
@@ -212,9 +191,9 @@ RunResult ShardRouter::run_tagged(
         {
           sim::WarpContext warp(w.round_stats);
           process_frontier_vertex(
-              view, policy, spec, rng, w.scratch,
+              view, policy_, spec, rng, w.scratch,
               FrontierWorkItem{walker.vertex, walker.tag, walker.depth, 0},
-              warp, w.buffers, static_ctps_.get());
+              warp, w.buffers, static_ctps_);
         }
         const FrontierResult& step = w.buffers.step;
         ++w.round_steps;
@@ -229,7 +208,7 @@ RunResult ShardRouter::run_tagged(
         walker.prev = walker.vertex;
         walker.vertex = step.next[0].first;
         ++walker.depth;
-        const std::uint32_t dst = map_->owner(walker.vertex);
+        const std::uint32_t dst = map_.owner(walker.vertex);
         if (dst != static_cast<std::uint32_t>(item)) {
           w.egress[dst].push_back(walker);
           ++w.forwarded;
@@ -248,9 +227,9 @@ RunResult ShardRouter::run_tagged(
     // Terminal shard failures: fail exactly the instances whose
     // walkers are resident on or bound for a dead shard; everyone
     // else's bytes are untouched.
-    if (options_.faults) {
+    if (options.faults) {
       for (std::uint32_t s = 0; s < num_shards; ++s) {
-        if (!options_.faults->is_dead(s)) continue;
+        if (!options.faults->is_dead(s)) continue;
         for (const ShardWalker& wk : workers[s].residents) {
           fail_instance(wk.local);
         }
@@ -336,7 +315,7 @@ RunResult ShardRouter::run_tagged(
       for (std::uint32_t dst = 0; dst < num_shards; ++dst) {
         auto& hops = w.egress[dst];
         for (std::size_t at = 0; at < hops.size();
-             at += options_.envelope_capacity) {
+             at += options.envelope_capacity) {
           WalkerEnvelope env;
           env.from = src;
           env.to = dst;
@@ -344,7 +323,7 @@ RunResult ShardRouter::run_tagged(
           const std::size_t end =
               std::min(hops.size(),
                        at + static_cast<std::size_t>(
-                                options_.envelope_capacity));
+                                options.envelope_capacity));
           env.walkers.assign(hops.begin() + static_cast<std::ptrdiff_t>(at),
                              hops.begin() + static_cast<std::ptrdiff_t>(end));
           outbox[src].push_back(std::move(env));
@@ -355,7 +334,7 @@ RunResult ShardRouter::run_tagged(
       double src_seconds = 0.0;
       while (!outbox[src].empty()) {
         WalkerEnvelope& env = outbox[src].front();
-        if (options_.faults && options_.faults->is_dead(env.to)) {
+        if (options.faults && options.faults->is_dead(env.to)) {
           fail_envelope(env);
           outbox[src].pop_front();
           continue;
@@ -363,14 +342,14 @@ RunResult ShardRouter::run_tagged(
         if (inbox[env.to].full()) break;  // head-of-line backpressure
         const double wire = cost.transfer_seconds(env.bytes());
         bool delivered = false;
-        for (std::uint32_t attempt = 0; attempt < options_.retry.attempts;
+        for (std::uint32_t attempt = 0; attempt < options.retry.attempts;
              ++attempt) {
           if (attempt > 0) {
-            src_seconds += options_.retry.delay_before(attempt);
+            src_seconds += options.retry.delay_before(attempt);
             ++shard.envelope_retries;
           }
           const auto outcome =
-              options_.faults ? options_.faults->next_attempt(
+              options.faults ? options.faults->next_attempt(
                                     FaultDomain::kEnvelope, env.to, attempt)
                               : FaultInjector::Outcome::kOk;
           if (outcome == FaultInjector::Outcome::kFail) {
@@ -379,7 +358,7 @@ RunResult ShardRouter::run_tagged(
             continue;
           }
           src_seconds += outcome == FaultInjector::Outcome::kSlow
-                             ? wire * options_.faults->slow_factor()
+                             ? wire * options.faults->slow_factor()
                              : wire;
           delivered = true;
           break;

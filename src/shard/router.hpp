@@ -1,6 +1,7 @@
 #pragma once
 
-// Sharded walk execution over a simulated transport (ROADMAP item 3).
+// Sharded walk execution over a simulated transport
+// (ExecutionMode::kSharded).
 //
 // A ShardRouter partitions a graph's vertices across N shard workers
 // (ShardPartitionMap, edge-balanced contiguous ranges) and runs
@@ -38,53 +39,28 @@
 #include <span>
 #include <vector>
 
-#include "algorithms/registry.hpp"
 #include "core/run_result.hpp"
 #include "core/sampler.hpp"
-#include "gpusim/cost_model.hpp"
 #include "gpusim/thread_pool.hpp"
-#include "select/its.hpp"
 #include "shard/partition_map.hpp"
-#include "util/fault_injector.hpp"
 
 namespace csaw {
 
-/// Knobs of one ShardRouter. Defaults mirror SamplerOptions where a
-/// knob has a single-device twin (seed, select, retry limit/backoff).
-struct ShardOptions {
-  /// Shard count (>= 1; 1 degenerates to a single worker, no
-  /// forwarding).
-  std::uint32_t shards = 2;
-  /// Host threads for the compute phase: 0 = auto (CSAW_THREADS, else
-  /// hardware_concurrency). Ignored when an executor is attached.
-  std::uint32_t num_threads = 0;
-  /// Max walkers packed into one WalkerEnvelope.
-  std::uint32_t envelope_capacity = 64;
-  /// Max envelopes queued at one shard's ingress; a full queue
-  /// backpressures the sender (head-of-line, retried next round).
-  std::uint32_t queue_capacity = 32;
-  /// Delivery attempts per envelope and the backoff between them. An
-  /// envelope failing every attempt fails its walkers' instances.
-  RetryPolicy retry;
-  SelectConfig select;
-  std::uint64_t seed = 0xC5A30001ull;
-  sim::DeviceParams device_params;
-  /// Optional deterministic fault injector consulted per delivery
-  /// attempt. nullptr (the default) means a fault-free transport.
-  std::shared_ptr<FaultInjector> faults;
-};
-
 /// Routes walk-shaped sampling runs across shard workers over the
-/// simulated transport. One router serves one (graph, algorithm)
-/// pair; like Sampler, it runs one call at a time but any number of
-/// routers may share one executor pool.
+/// simulated transport: the backend of ExecutionMode::kSharded. A
+/// Sampler builds one per run from its own state — the router owns
+/// nothing but references, so it lives exactly as long as that run.
 class ShardRouter {
  public:
-  /// `map` shares a prebuilt partition map (the service builds one per
-  /// registered graph); null builds a private one.
-  ShardRouter(const CsrGraph& graph, AlgorithmSetup setup,
-              ShardOptions options,
-              std::shared_ptr<const ShardPartitionMap> map = nullptr);
+  /// Reads the transport knobs (options.shard) and the engine knobs
+  /// every backend shares (seed, select, device_params) from `options`.
+  /// `pool` executes the compute phase (null = serial) and
+  /// `static_ctps` serves static-bias steps (null = per-step bias); both
+  /// are the Sampler's. All references must outlive the router.
+  ShardRouter(const CsrGraph& graph, const Policy& policy,
+              const SamplingSpec& spec, const SamplerOptions& options,
+              const ShardPartitionMap& map, sim::ThreadPool* pool,
+              StaticCtpsTable* static_ctps);
 
   /// True when `spec` is walk-shaped: one neighbor per step, sampling
   /// with replacement, no visited filtering and no pool-level kernels
@@ -93,42 +69,29 @@ class ShardRouter {
   /// is what makes a forwarded walker's draws shard-invariant.
   static bool shardable_spec(const SamplingSpec& spec);
 
-  const ShardPartitionMap& partition_map() const noexcept { return *map_; }
-  const ShardOptions& options() const noexcept { return options_; }
-
-  /// Attaches an externally owned host pool (the service passes its
-  /// batch pool). Replaces the lazily created per-router pool; the
-  /// pool's width wins over ShardOptions::num_threads.
-  void set_executor(std::shared_ptr<sim::ThreadPool> pool);
-
-  /// Shares a per-vertex CTPS table over this router's graph and the
-  /// setup's static EDGEBIAS (the service keeps one per graph and
-  /// algorithm). Without one, the first run creates a private table with
-  /// make_static_ctps.
-  void set_static_ctps(std::shared_ptr<StaticCtpsTable> table);
-
   /// Runs one walker per seeds entry (each entry must hold exactly one
   /// seed vertex) under global instance tags `tags` (strictly
   /// increasing, one per entry — the service's coalesced-batch ids).
-  /// Samples are byte-identical to an unsharded Sampler::run_tagged of
-  /// the same (graph, setup, seed, tags) at any shard/thread count.
-  /// Instances failed by terminal shard faults are listed in
+  /// Samples are byte-identical to an unsharded run of the same (graph,
+  /// policy, spec, seed, tags) at any shard/thread count. Instances
+  /// failed by terminal shard faults are listed in
   /// RunResult::shard->failed with their rows cleared; cancelled
   /// instances keep the steps they completed (RunControl semantics).
   RunResult run_tagged(std::span<const std::vector<VertexId>> seeds,
                        std::span<const std::uint32_t> tags,
-                       const RunControl& control = {});
+                       const RunControl& control) const;
 
  private:
-  sim::ThreadPool* ensure_pool();
-
-  const CsrGraph* graph_;
-  AlgorithmSetup setup_;
-  ShardOptions options_;
-  std::shared_ptr<const ShardPartitionMap> map_;
-  std::shared_ptr<sim::ThreadPool> pool_;
-  bool pool_resolved_ = false;
-  std::shared_ptr<StaticCtpsTable> static_ctps_;
+  const CsrGraph& graph_;
+  const Policy& policy_;
+  const SamplingSpec& spec_;
+  const SamplerOptions& options_;
+  const ShardPartitionMap& map_;
+  sim::ThreadPool* pool_;
+  StaticCtpsTable* static_ctps_;
+  /// options.select with replacement forced on, as the engines derive it
+  /// for walk-shaped specs, so SELECT draws the identical coordinates.
+  SelectConfig select_;
 };
 
 }  // namespace csaw

@@ -283,11 +283,12 @@ void fuzz_master_seed(std::uint64_t seed) {
       const std::uint32_t shards = pick(shard_rng, 1, 4);
       const std::uint32_t shard_threads =
           kWidths[pick(shard_rng, 0, std::size(kWidths) - 1)];
-      ShardOptions shard_options;
-      shard_options.shards = shards;
-      shard_options.num_threads = shard_threads;
-      ShardRouter router(graph, setup, shard_options);
-      const RunResult sharded = router.run_tagged(
+      SamplerOptions options;
+      options.mode = ExecutionMode::kSharded;
+      options.shard.shards = shards;
+      options.num_threads = shard_threads;
+      Sampler sampler(graph, setup, options);
+      const RunResult sharded = sampler.run_tagged(
           expand_single_seeds(config.seeds), config.tags);
       expect_same_samples(sharded.samples, baseline.samples,
                           "sharded @ " + std::to_string(shards) +

@@ -1,7 +1,7 @@
 // Cross-commit golden pin: an FNV-1a hash of the samples and the integer
 // KernelStats of every registry algorithm, on two fixed generated graphs
 // (one weighted), through the in-memory pipelined engine, the paged
-// demand-cache engine and (walks only) the shard router.
+// demand-cache engine and (walks only) ExecutionMode::kSharded.
 //
 // Every other byte-identity suite compares two paths of the same build.
 // All of those paths share process_frontier_vertex, so a change to the
@@ -263,18 +263,14 @@ std::uint64_t run_path(const CsrGraph& g, AlgorithmId id, Path path) {
   const AlgorithmSetup setup =
       make_algorithm(id, walk ? kWalkLength : kSamplingDepth);
   const auto seeds = expand_single_seeds(seeds_for(g));
-  if (path == Path::kSharded) {
-    ShardOptions options;
-    options.shards = 2;
-    options.num_threads = 2;
-    ShardRouter router(g, setup, options);
-    return hash_run(router.run_tagged(seeds, tags()));
-  }
   SamplerOptions options;
   options.num_threads = 2;
   options.schedule = Schedule::kPipelined;
   if (path == Path::kInMemoryPipelined) {
     options.mode = ExecutionMode::kInMemory;
+  } else if (path == Path::kSharded) {
+    options.mode = ExecutionMode::kSharded;
+    options.shard.shards = 2;
   } else {
     options.mode = ExecutionMode::kOutOfMemory;
     options.memory_assumption = MemoryAssumption::kExceeds;

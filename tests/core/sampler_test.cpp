@@ -6,6 +6,7 @@
 #include "algorithms/mdrw.hpp"
 #include "algorithms/neighbor_sampling.hpp"
 #include "algorithms/random_walks.hpp"
+#include "algorithms/registry.hpp"
 #include "algorithms/snowball.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
@@ -147,6 +148,115 @@ TEST(Sampler, ExplicitSingleDeviceModesRejectMultipleDevices) {
   options.mode = ExecutionMode::kInMemory;
   options.num_devices = 2;
   EXPECT_THROW(Sampler(g, biased_random_walk(4), options), CheckError);
+}
+
+SamplerOptions auto_sharded(std::uint32_t shards) {
+  SamplerOptions options;
+  options.shard.shards = shards;
+  return options;
+}
+
+TEST(Sampler, AutoShardsWalksWhenShardsAboveOne) {
+  const CsrGraph g = generate_rmat(512, 4096, 81);
+  SamplerOptions options = auto_sharded(4);
+  // Sharding takes precedence over num_devices: the shard workers are
+  // the devices.
+  options.num_devices = 2;
+  Sampler sampler(g, biased_random_walk(8), options);
+  EXPECT_EQ(sampler.decision().requested, ExecutionMode::kAuto);
+  EXPECT_EQ(sampler.decision().resolved, ExecutionMode::kSharded);
+  EXPECT_NE(sampler.decision().reason.find("4 walk shards"),
+            std::string::npos)
+      << sampler.decision().reason;
+  EXPECT_EQ(to_string(ExecutionMode::kSharded), "sharded");
+
+  // One shard never routes.
+  EXPECT_EQ(Sampler(g, biased_random_walk(8)).decision().resolved,
+            ExecutionMode::kInMemory);
+}
+
+TEST(Sampler, AutoShardingFallsBackForNonWalkSpecs) {
+  const CsrGraph g = generate_rmat(512, 4096, 82);
+  Sampler sampler(g, make_algorithm(AlgorithmId::kBiasedNeighborSampling, 2),
+                  auto_sharded(4));
+  EXPECT_EQ(sampler.decision().resolved, ExecutionMode::kInMemory);
+  EXPECT_NE(sampler.decision().reason.find("4 shards configured but spec "
+                                           "is not walk-shaped"),
+            std::string::npos)
+      << sampler.decision().reason;
+}
+
+TEST(Sampler, AutoShardingFallsBackForPagedGraphs) {
+  const CsrGraph g = generate_rmat(1024, 8192, 83);
+  SamplerOptions options = auto_sharded(4);
+  options.device_params.memory_bytes = 4096;
+  Sampler sampler(g, biased_random_walk(8), options);
+  EXPECT_EQ(sampler.decision().resolved, ExecutionMode::kOutOfMemory);
+  EXPECT_NE(sampler.decision().reason.find("4 shards configured but graph "
+                                           "pages"),
+            std::string::npos)
+      << sampler.decision().reason;
+}
+
+TEST(Sampler, ExplicitShardedRejectsNonWalkSpecs) {
+  const CsrGraph g = generate_rmat(256, 2048, 84);
+  SamplerOptions options;
+  options.mode = ExecutionMode::kSharded;
+  options.shard.shards = 2;
+  EXPECT_THROW(
+      Sampler(g, make_algorithm(AlgorithmId::kBiasedNeighborSampling, 2),
+              options),
+      CheckError);
+}
+
+TEST(Sampler, ShardedRunReportsItsModeAndShardMetrics) {
+  const CsrGraph g = generate_rmat(1024, 8192, 85);
+  const auto setup = biased_random_walk(12);
+  const auto seeds = spread_seeds(g, 24);
+  SamplerOptions in_memory;
+  in_memory.mode = ExecutionMode::kInMemory;
+  const RunResult ref = Sampler(g, setup, in_memory).run_single_seed(seeds);
+
+  Sampler sampler(g, setup, auto_sharded(3));
+  const RunResult run = sampler.run_single_seed(seeds);
+  expect_same_samples(run.samples, ref.samples, "sharded");
+  EXPECT_EQ(run.mode, ExecutionMode::kSharded);
+  EXPECT_EQ(run.mode_reason, sampler.decision().reason);
+  ASSERT_TRUE(run.shard.has_value());
+  EXPECT_EQ(run.shard->shards, 3u);
+  EXPECT_EQ(run.device_seconds.size(), 3u);
+  EXPECT_FALSE(run.oom.has_value());
+
+  // Batched sharded runs keep the bytes and sum the shard metrics.
+  const RunResult batched = sampler.run_batches_single_seed(seeds, 10);
+  expect_same_samples(batched.samples, ref.samples, "batched sharded");
+  EXPECT_EQ(batched.mode, ExecutionMode::kSharded);
+  ASSERT_TRUE(batched.shard.has_value());
+  EXPECT_GE(batched.shard->rounds, run.shard->rounds);
+}
+
+TEST(Sampler, ShardedRunWithMultiSeedInstanceRunsInMemory) {
+  const CsrGraph g = generate_rmat(512, 4096, 86);
+  const auto setup = biased_random_walk(8);
+  const std::vector<std::vector<VertexId>> seeds = {{3}, {5, 9}, {11}};
+  SamplerOptions in_memory;
+  in_memory.mode = ExecutionMode::kInMemory;
+  const RunResult ref = Sampler(g, setup, in_memory).run(seeds);
+
+  for (const ExecutionMode mode :
+       {ExecutionMode::kAuto, ExecutionMode::kSharded}) {
+    SamplerOptions options = auto_sharded(2);
+    options.mode = mode;
+    Sampler sampler(g, setup, options);
+    ASSERT_EQ(sampler.decision().resolved, ExecutionMode::kSharded);
+    const RunResult run = sampler.run(seeds);
+    expect_same_samples(run.samples, ref.samples, to_string(mode));
+    EXPECT_EQ(run.mode, ExecutionMode::kInMemory);
+    EXPECT_FALSE(run.shard.has_value());
+    EXPECT_NE(run.mode_reason.find("instance 1 holds 2 seeds"),
+              std::string::npos)
+        << run.mode_reason;
+  }
 }
 
 TEST(Sampler, RunBatchesMatchesMonolithicRun) {

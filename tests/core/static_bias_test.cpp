@@ -24,7 +24,6 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "service/service.hpp"
-#include "shard/router.hpp"
 #include "util/check.hpp"
 
 namespace csaw {
@@ -223,7 +222,7 @@ TEST(StaticBias, RunBatchesSharesOneTable) {
   auto table =
       std::make_shared<StaticCtpsTable>(g, fast.policy.static_edge_bias);
   Sampler fast_sampler(g, fast, options);
-  fast_sampler.set_static_ctps(table);
+  fast_sampler.attach({.static_ctps = table});
   Sampler slow_sampler(g, as_dynamic(fast), options);
   expect_same_run(fast_sampler.run_batches_single_seed(seeds, 10),
                   slow_sampler.run_batches_single_seed(seeds, 10),
@@ -244,7 +243,7 @@ TEST(StaticBias, DynamicHookNeverConsultsTheTable) {
   auto table =
       std::make_shared<StaticCtpsTable>(g, fast.policy.static_edge_bias);
   Sampler slow_sampler(g, as_dynamic(fast));
-  slow_sampler.set_static_ctps(table);
+  slow_sampler.attach({.static_ctps = table});
   ASSERT_GT(slow_sampler.run_single_seed(seeds).sampled_edges(), 0u);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_EQ(table->state(v), StaticCtpsTable::State::kEmpty) << v;
@@ -261,7 +260,7 @@ TEST(StaticBias, UnselectableRowsEndTheWalkLikeThePerStepPath) {
       std::make_shared<StaticCtpsTable>(g, fast.policy.static_edge_bias);
   for (int visit = 0; visit < 2; ++visit) {
     Sampler fast_sampler(g, fast);
-    fast_sampler.set_static_ctps(table);
+    fast_sampler.attach({.static_ctps = table});
     Sampler slow_sampler(g, as_dynamic(fast));
     const std::vector<VertexId> seeds = {0, 0, 1};
     expect_same_run(fast_sampler.run_single_seed(seeds),
@@ -361,7 +360,9 @@ TEST(StaticBias, PolicyWithBothHooksIsRejected) {
   EXPECT_THROW(Sampler(g, setup), CheckError);
   const CsrGraphView view(g);
   EXPECT_THROW(SamplingEngine(view, setup.policy, setup.spec), CheckError);
-  EXPECT_THROW(ShardRouter(g, setup, ShardOptions{}), CheckError);
+  SamplerOptions sharded;
+  sharded.mode = ExecutionMode::kSharded;
+  EXPECT_THROW(Sampler(g, setup, sharded), CheckError);
 }
 
 TEST(StaticBias, RowsFilledOverAnotherGraphAreRejected) {
@@ -403,7 +404,7 @@ TEST(StaticBias, TableMustMatchTheGraph) {
   auto table =
       std::make_shared<StaticCtpsTable>(other, setup.policy.static_edge_bias);
   Sampler sampler(g, setup);
-  EXPECT_THROW(sampler.set_static_ctps(table), CheckError);
+  EXPECT_THROW(sampler.attach({.static_ctps = table}), CheckError);
   EXPECT_THROW(StaticCtpsTable(g, nullptr), CheckError);
 }
 
@@ -426,16 +427,11 @@ TEST(StaticBias, ShardedServiceMatchesPerStepRouter) {
     Service service(config);
     service.add_graph("g", shared_graph());
 
-    ShardOptions shard_options;
-    shard_options.shards = config.shards;
-    shard_options.num_threads = width;
-    shard_options.envelope_capacity = config.shard_envelope_capacity;
-    shard_options.queue_capacity = config.shard_queue_capacity;
-    shard_options.retry =
-        RetryPolicy{config.shard_retry_limit, config.shard_retry_backoff};
-    shard_options.select = config.options.select;
-    shard_options.seed = config.options.seed;
-    shard_options.device_params = config.options.device_params;
+    // The service's own options, sharded; every transport knob is at
+    // its default on both sides.
+    SamplerOptions sharded = config.options;
+    sharded.mode = ExecutionMode::kSharded;
+    sharded.shard.shards = config.shards;
 
     // Two sequential single-request batches: the first fills the graph's
     // table cold, the second runs warm on the same table.
@@ -446,10 +442,9 @@ TEST(StaticBias, ShardedServiceMatchesPerStepRouter) {
       const RunResult got = submission.result.get();
       ASSERT_TRUE(got.shard.has_value());
 
-      ShardRouter router(*shared_graph(),
-                         as_dynamic(biased_random_walk(kLength)),
-                         shard_options);
-      const RunResult want = router.run_tagged(
+      Sampler reference(*shared_graph(),
+                        as_dynamic(biased_random_walk(kLength)), sharded);
+      const RunResult want = reference.run_tagged(
           expand_single_seeds(
               spread_seeds(*shared_graph(), kInstances, offset)),
           tags_from(rng_base, kInstances));

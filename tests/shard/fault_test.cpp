@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "core/sampler.hpp"
 #include "graph/generators.hpp"
-#include "shard/router.hpp"
 #include "util/fault_injector.hpp"
 
 namespace csaw {
@@ -45,14 +45,15 @@ RunResult run_sharded(const CsrGraph& graph, std::uint32_t shards,
                       std::uint32_t length = 24) {
   const AlgorithmSetup setup =
       make_algorithm(AlgorithmId::kDeepwalk, length);
-  ShardOptions options;
-  options.shards = shards;
+  SamplerOptions options;
+  options.mode = ExecutionMode::kSharded;
+  options.shard.shards = shards;
   options.num_threads = 1;
-  options.retry.attempts = retry_limit;
-  options.faults = std::move(faults);
-  ShardRouter router(graph, setup, options);
-  return router.run_tagged(walk_seeds(graph, instances),
-                           identity_tags(instances));
+  options.shard.retry.attempts = retry_limit;
+  options.shard.faults = std::move(faults);
+  Sampler sampler(graph, setup, options);
+  return sampler.run_tagged(walk_seeds(graph, instances),
+                            identity_tags(instances));
 }
 
 TEST(ShardFaults, ScriptedDropsAreRetriedAtIdenticalBytes) {

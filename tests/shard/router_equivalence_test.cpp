@@ -50,6 +50,14 @@ std::vector<std::uint32_t> draw_tags(std::uint32_t n) {
   return tags;
 }
 
+SamplerOptions sharded(std::uint32_t shards, std::uint32_t threads) {
+  SamplerOptions options;
+  options.mode = ExecutionMode::kSharded;
+  options.shard.shards = shards;
+  options.num_threads = threads;
+  return options;
+}
+
 void expect_same_samples(const SampleStore& got, const SampleStore& want,
                          const std::string& label) {
   ASSERT_EQ(got.num_instances(), want.num_instances()) << label;
@@ -80,10 +88,7 @@ TEST(ShardRouterEquivalence, ByteIdenticalAtEveryShardAndThreadCount) {
 
     for (const std::uint32_t shards : {1u, 2u, 4u}) {
       for (const std::uint32_t threads : {1u, 2u, 7u}) {
-        ShardOptions options;
-        options.shards = shards;
-        options.num_threads = threads;
-        ShardRouter router(graph, setup, options);
+        Sampler router(graph, setup, sharded(shards, threads));
         const RunResult got = router.run_tagged(seeds, tags);
         const std::string label = algorithm_info(algorithm).name +
                                   " shards=" + std::to_string(shards) +
@@ -114,18 +119,13 @@ TEST(ShardRouterEquivalence, SimulatedTimelineIndependentOfHostThreads) {
     const auto seeds = expand_single_seeds(draw_seeds(graph, instances));
     const std::vector<std::uint32_t> tags = draw_tags(instances);
     for (const std::uint32_t shards : {2u, 3u}) {
-      ShardOptions base;
-      base.shards = shards;
-      base.num_threads = 1;
-      ShardRouter serial(graph, setup, base);
+      Sampler serial(graph, setup, sharded(shards, 1));
       const RunResult want = serial.run_tagged(seeds, tags);
       EXPECT_GT(want.shard->forwarded_walkers, 0u);
       EXPECT_GT(want.shard->transfer_seconds, 0.0);
 
       for (const std::uint32_t threads : {2u, 7u}) {
-        ShardOptions options = base;
-        options.num_threads = threads;
-        ShardRouter router(graph, setup, options);
+        Sampler router(graph, setup, sharded(shards, threads));
         const RunResult got = router.run_tagged(seeds, tags);
         const std::string label = "instances=" + std::to_string(instances) +
                                   " shards=" + std::to_string(shards) +
